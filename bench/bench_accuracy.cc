@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hh"
@@ -54,58 +53,16 @@ struct RunConfig
     double valFraction = 0.15;
 };
 
-void
-writeJson(const std::string &path, const RunConfig &cfg,
-          uint64_t train_hash, uint64_t test_hash, double trained_err,
-          double val_err, double stub_err, double serve_diff,
-          double dataset_s, double train_s, bool pass)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"accuracy\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", cfg.full ? "full" : "smoke");
-    std::fprintf(f, "  \"train_samples\": %zu,\n", cfg.trainSamples);
-    std::fprintf(f, "  \"test_samples\": %zu,\n", cfg.testSamples);
-    std::fprintf(f, "  \"region_chunks\": %u,\n", cfg.regionChunks);
-    std::fprintf(f, "  \"epochs\": %zu,\n", cfg.epochs);
-    std::fprintf(f, "  \"train_manifest_hash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(train_hash));
-    std::fprintf(f, "  \"test_manifest_hash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(test_hash));
-    std::fprintf(f, "  \"val_rel_err\": %.6f,\n", val_err);
-    std::fprintf(f, "  \"heldout_rel_err_trained\": %.6f,\n", trained_err);
-    std::fprintf(f, "  \"heldout_rel_err_untrained\": %.6f,\n", stub_err);
-    std::fprintf(f, "  \"ratio\": %.6f,\n",
-                 stub_err > 0.0 ? trained_err / stub_err : 0.0);
-    std::fprintf(f, "  \"gate_ratio\": %.3f,\n", kGateRatio);
-    std::fprintf(f, "  \"serve_max_abs_diff\": %.3e,\n", serve_diff);
-    std::fprintf(f, "  \"dataset_seconds\": %.2f,\n", dataset_s);
-    std::fprintf(f, "  \"train_seconds\": %.2f,\n", train_s);
-    std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0) {
-            cfg.full = true;
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.full = false;
-        } else {
-            std::fprintf(stderr, "usage: bench_accuracy [--full]\n");
-            return 2;
-        }
-    }
+    bool smoke = true;
+    if (!benchutil::parseBenchMode(argc, argv, "bench_accuracy", smoke))
+        return 2;
+    cfg.full = !smoke;
     if (cfg.full) {
         cfg.trainSamples = 4096;
         cfg.testSamples = 512;
@@ -198,7 +155,7 @@ main(int argc, char **argv)
         for (size_t i = 0; i < checks; ++i) {
             const auto &meta = test.meta[i];
             const double served =
-                service.predict("prod", meta.region, meta.params);
+                service.predict({"prod", meta.region, meta.params}).cpi;
             const double local =
                 direct.predictCpi(meta.region, meta.params);
             serve_diff = std::max(serve_diff,
@@ -226,12 +183,29 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_accuracy.json";
-    writeJson(json_path, cfg, train_hash, test_hash, trained_err, val_err,
-              stub_err, serve_diff, dataset_s, train_s, pass);
-    std::printf("  wrote %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_accuracy.json");
+        json.text("bench", "accuracy");
+        json.text("mode", cfg.full ? "full" : "smoke");
+        json.field("train_samples", "%zu", cfg.trainSamples);
+        json.field("test_samples", "%zu", cfg.testSamples);
+        json.field("region_chunks", "%u", cfg.regionChunks);
+        json.field("epochs", "%zu", cfg.epochs);
+        json.field("train_manifest_hash", "\"%016llx\"",
+                   static_cast<unsigned long long>(train_hash));
+        json.field("test_manifest_hash", "\"%016llx\"",
+                   static_cast<unsigned long long>(test_hash));
+        json.field("val_rel_err", "%.6f", val_err);
+        json.field("heldout_rel_err_trained", "%.6f", trained_err);
+        json.field("heldout_rel_err_untrained", "%.6f", stub_err);
+        json.field("ratio", "%.6f",
+                   stub_err > 0.0 ? trained_err / stub_err : 0.0);
+        json.field("gate_ratio", "%.3f", kGateRatio);
+        json.field("serve_max_abs_diff", "%.3e", serve_diff);
+        json.field("dataset_seconds", "%.2f", dataset_s);
+        json.field("train_seconds", "%.2f", train_s);
+        json.flag("gate_pass", pass);
+    }
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");
     return pass ? 0 : 1;
 }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "analysis/trace_analyzer.hh"
+#include "bench_util.hh"
 #include "common/stopwatch.hh"
 #include "trace/workloads.hh"
 
@@ -209,26 +210,17 @@ main()
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_analysis.json";
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"analysis_cold\",\n");
-        std::fprintf(f, "  \"regions\": %zu,\n", regions.size());
-        std::fprintf(f, "  \"instructions\": %llu,\n",
-                     static_cast<unsigned long long>(instructions));
-        std::fprintf(f, "  \"legacy_minstr_s\": %.3f,\n", legacy_rate);
-        std::fprintf(f, "  \"fused_minstr_s\": %.3f,\n", fused_rate);
-        std::fprintf(f, "  \"fused_speedup\": %.3f,\n", speedup);
-        std::fprintf(f, "  \"max_abs_diff\": %.3e,\n", max_diff);
-        std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("  wrote %s\n", json_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_analysis.json");
+        json.text("bench", "analysis_cold");
+        json.field("regions", "%zu", regions.size());
+        json.field("instructions", "%llu",
+                   static_cast<unsigned long long>(instructions));
+        json.field("legacy_minstr_s", "%.3f", legacy_rate);
+        json.field("fused_minstr_s", "%.3f", fused_rate);
+        json.field("fused_speedup", "%.3f", speedup);
+        json.field("max_abs_diff", "%.3e", max_diff);
+        json.flag("gate_pass", pass);
     }
 
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");

@@ -33,7 +33,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -80,16 +79,8 @@ int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    const char *smoke_env = std::getenv("CONCORDE_SMOKE");
-    cfg.smoke = smoke_env && *smoke_env && std::strcmp(smoke_env, "0") != 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: bench_pipeline_e2e [--smoke]\n");
-            return 2;
-        }
-    }
+    if (!benchutil::parseBenchMode(argc, argv, "bench_pipeline_e2e", cfg.smoke))
+        return 2;
     if (cfg.smoke) {
         cfg.spanChunks = 24;
         cfg.regionChunks = 2;
@@ -198,49 +189,31 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_pipeline.json";
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"pipeline_e2e\",\n");
-        std::fprintf(f, "  \"mode\": \"%s\",\n",
-                     cfg.smoke ? "smoke" : "full");
-        std::fprintf(f, "  \"span_chunks\": %llu,\n",
-                     static_cast<unsigned long long>(cfg.spanChunks));
-        std::fprintf(f, "  \"region_chunks\": %u,\n", cfg.regionChunks);
-        std::fprintf(f, "  \"regions\": %zu,\n",
-                     scalar.result.regions.size());
-        std::fprintf(f, "  \"instructions\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         span.numInstructions()));
-        std::fprintf(f, "  \"scalar_minstr_s\": %.3f,\n", scalar_rate);
-        std::fprintf(f, "  \"sharded_minstr_s\": %.3f,\n", sharded_rate);
-        std::fprintf(f, "  \"stitched_minstr_s\": %.3f,\n",
-                     stitched_rate);
+    {
+        benchutil::BenchJson json("BENCH_pipeline.json");
+        json.text("bench", "pipeline_e2e");
+        json.text("mode", cfg.smoke ? "smoke" : "full");
+        json.field("span_chunks", "%llu",
+                   static_cast<unsigned long long>(cfg.spanChunks));
+        json.field("region_chunks", "%u", cfg.regionChunks);
+        json.field("regions", "%zu", scalar.result.regions.size());
+        json.field("instructions", "%llu",
+                   static_cast<unsigned long long>(span.numInstructions()));
+        json.field("scalar_minstr_s", "%.3f", scalar_rate);
+        json.field("sharded_minstr_s", "%.3f", sharded_rate);
+        json.field("stitched_minstr_s", "%.3f", stitched_rate);
         // Cold = the stitched run above (every instruction analyzed this
         // run); warm = sharded with a primed AnalysisStore (analysis
         // skipped entirely). stitched_minstr_s stays the cold number so
         // its history remains comparable.
-        std::fprintf(f, "  \"stitched_cold_minstr_s\": %.3f,\n",
-                     stitched_rate);
-        std::fprintf(f, "  \"stitched_warm_minstr_s\": %.3f,\n",
-                     warm_rate);
-        std::fprintf(f, "  \"sharded_speedup\": %.3f,\n",
-                     sharded_rate / scalar_rate);
-        std::fprintf(f, "  \"stitched_speedup\": %.3f,\n",
-                     stitched_rate / scalar_rate);
-        std::fprintf(f, "  \"max_abs_diff_independent\": %.3e,\n",
-                     diff_indep);
-        std::fprintf(f, "  \"max_abs_diff_carry\": %.3e,\n", diff_carry);
-        std::fprintf(f, "  \"max_abs_diff_warm\": %.3e,\n", diff_warm);
-        std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("  wrote %s\n", json_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        json.field("stitched_cold_minstr_s", "%.3f", stitched_rate);
+        json.field("stitched_warm_minstr_s", "%.3f", warm_rate);
+        json.field("sharded_speedup", "%.3f", sharded_rate / scalar_rate);
+        json.field("stitched_speedup", "%.3f", stitched_rate / scalar_rate);
+        json.field("max_abs_diff_independent", "%.3e", diff_indep);
+        json.field("max_abs_diff_carry", "%.3e", diff_carry);
+        json.field("max_abs_diff_warm", "%.3e", diff_warm);
+        json.flag("gate_pass", pass);
     }
 
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");

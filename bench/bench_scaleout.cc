@@ -29,13 +29,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include <sys/wait.h>
 
+#include "bench_util.hh"
 #include "common/stopwatch.hh"
 #include "core/artifacts.hh"
 #include "core/concorde.hh"
@@ -105,16 +105,8 @@ int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    const char *smoke_env = std::getenv("CONCORDE_SMOKE");
-    cfg.smoke = smoke_env && *smoke_env && std::strcmp(smoke_env, "0") != 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: bench_scaleout [--smoke]\n");
-            return 2;
-        }
-    }
+    if (!benchutil::parseBenchMode(argc, argv, "bench_scaleout", cfg.smoke))
+        return 2;
     if (cfg.smoke) {
         cfg.samples = 48;
         cfg.attempts = 2;
@@ -235,35 +227,22 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_scaleout.json";
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"scaleout\",\n");
-        std::fprintf(f, "  \"mode\": \"%s\",\n",
-                     cfg.smoke ? "smoke" : "full");
-        std::fprintf(f, "  \"samples\": %zu,\n", cfg.samples);
-        std::fprintf(f, "  \"shards\": %zu,\n", num_shards);
-        std::fprintf(f, "  \"workers\": %zu,\n", cfg.workers);
-        std::fprintf(f, "  \"serial_s\": %.3f,\n", serial_s);
-        std::fprintf(f, "  \"multi_s\": %.3f,\n", multi_s);
-        std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
-        std::fprintf(f, "  \"sweep_serial_s\": %.3f,\n", sweep_serial_s);
-        std::fprintf(f, "  \"sweep_multi_s\": %.3f,\n", sweep_multi_s);
-        std::fprintf(f, "  \"dataset_identical\": %s,\n",
-                     dataset_identical ? "true" : "false");
-        std::fprintf(f, "  \"crash_resume_identical\": %s,\n",
-                     crash_resume_identical ? "true" : "false");
-        std::fprintf(f, "  \"sweep_identical\": %s,\n",
-                     sweep_identical ? "true" : "false");
-        std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("  wrote %s\n", json_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_scaleout.json");
+        json.text("bench", "scaleout");
+        json.text("mode", cfg.smoke ? "smoke" : "full");
+        json.field("samples", "%zu", cfg.samples);
+        json.field("shards", "%zu", num_shards);
+        json.field("workers", "%zu", cfg.workers);
+        json.field("serial_s", "%.3f", serial_s);
+        json.field("multi_s", "%.3f", multi_s);
+        json.field("speedup", "%.3f", speedup);
+        json.field("sweep_serial_s", "%.3f", sweep_serial_s);
+        json.field("sweep_multi_s", "%.3f", sweep_multi_s);
+        json.flag("dataset_identical", dataset_identical);
+        json.flag("crash_resume_identical", crash_resume_identical);
+        json.flag("sweep_identical", sweep_identical);
+        json.flag("gate_pass", pass);
     }
 
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");

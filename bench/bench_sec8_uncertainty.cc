@@ -1,13 +1,13 @@
 /**
  * @file
  * Section 8 (future work, implemented here): conformal confidence bounds
- * on Concorde's CPI predictions. Calibrates a split-conformal wrapper on
+ * on Concorde's CPI predictions. Fits a split-conformal calibration on
  * half of the test split and validates empirical coverage and interval
- * width on the other half, overall and per CPI decile.
+ * width on the other half.
  */
 
 #include "bench_util.hh"
-#include "ml/conformal.hh"
+#include "ml/calibration.hh"
 
 using namespace concorde;
 
@@ -22,8 +22,12 @@ main()
     const Dataset cal = test.subset(cal_idx);
     const Dataset eval = test.subset(eval_idx);
 
-    const ConformalPredictor conformal(artifacts::fullModel(),
-                                       cal.features, cal.labels, cal.dim);
+    const TrainedModel &model = artifacts::fullModel();
+    const ConformalCalibration conformal = fitConformalCalibration(
+        model.predictBatch(cal.features, cal.dim), cal.labels, cal.features,
+        cal.dim);
+    const std::vector<float> eval_preds =
+        model.predictBatch(eval.features, eval.dim);
 
     std::printf("=== Section 8 extension: conformal confidence bounds "
                 "===\n");
@@ -32,8 +36,8 @@ main()
     std::printf("  %-8s %12s %14s %16s\n", "alpha", "target cov",
                 "empirical cov", "interval width");
     for (double alpha : {0.32, 0.20, 0.10, 0.05, 0.02}) {
-        const double coverage = conformal.empiricalCoverage(
-            eval.features, eval.labels, eval.dim, alpha);
+        const double coverage =
+            empiricalCoverage(conformal, eval_preds, eval.labels, alpha);
         std::printf("  %-8.2f %11.1f%% %13.1f%% %15.1f%%\n", alpha,
                     100 * (1 - alpha), 100 * coverage,
                     100 * conformal.quantile(alpha) * 2);
@@ -41,7 +45,7 @@ main()
 
     // Flagging high-risk predictions: widest-interval samples should
     // carry a disproportionate share of the large errors.
-    const auto errors = benchutil::relativeErrors(conformal.model(), eval);
+    const auto errors = benchutil::relativeErrors(model, eval);
     std::printf("\n  use case: crosscheck the widest-interval "
                 "predictions with a detailed simulator.\n");
     std::printf("  tail errors (>10%%) overall: %.1f%%\n",

@@ -39,7 +39,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -133,8 +132,8 @@ struct ServeRun
 
 /**
  * Drive the service in-process with `clients` threads, each submitting
- * bursts of `burst` requests round-robin over the point list (via the
- * legacy predictAsync shim, i.e. the Bulk class).
+ * bursts of `burst` requests round-robin over the point list through
+ * the typed submit on the Interactive class (PredictRequest's default).
  */
 ServeRun
 driveService(serve::PredictionService &service,
@@ -157,17 +156,17 @@ driveService(serve::PredictionService &service,
             size_t i = begin;
             while (i < end) {
                 const size_t n = std::min(burst, end - i);
-                std::vector<std::future<double>> futures;
+                std::vector<std::future<serve::PredictResponse>> futures;
                 futures.reserve(n);
                 std::vector<Stopwatch> timers(n);
                 for (size_t k = 0; k < n; ++k) {
                     timers[k] = Stopwatch();
-                    futures.push_back(service.predictAsync(
-                        "default", regions[(i + k) % regions.size()],
-                        points[i + k]));
+                    futures.push_back(service.submit(
+                        {"default", regions[(i + k) % regions.size()],
+                         points[i + k]}));
                 }
                 for (size_t k = 0; k < n; ++k) {
-                    run.predictions[i + k] = futures[k].get();
+                    run.predictions[i + k] = futures[k].get().cpi;
                     lat.push_back(timers[k].micros());
                 }
                 i += n;
@@ -342,117 +341,15 @@ socketAttempt(uint16_t port, const RunConfig &cfg,
     return run;
 }
 
-void
-writeJson(const std::string &path, const RunConfig &cfg, double scalar_qps,
-          double serve_qps, double hit_qps, double max_diff,
-          const ServeRun &run, const SocketRun &socket,
-          size_t socket_attempts, bool socket_bitwise,
-          const serve::ServeStats &stats, bool pass)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"serve_throughput\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", cfg.smoke ? "smoke" : "full");
-    std::fprintf(f, "  \"requests\": %zu,\n", cfg.requests);
-    std::fprintf(f, "  \"clients\": %zu,\n", cfg.clients);
-    std::fprintf(f, "  \"bulk_max_batch\": %zu,\n", cfg.maxBatch);
-    std::fprintf(f, "  \"bulk_deadline_us\": %zu,\n", cfg.deadlineUs);
-    std::fprintf(f, "  \"interactive_max_batch\": %zu,\n",
-                 cfg.interactiveBatch);
-    std::fprintf(f, "  \"interactive_deadline_us\": %zu,\n",
-                 cfg.interactiveUs);
-    std::fprintf(f, "  \"scalar_qps\": %.1f,\n", scalar_qps);
-    std::fprintf(f, "  \"serve_qps\": %.1f,\n", serve_qps);
-    std::fprintf(f, "  \"cache_hit_qps\": %.1f,\n", hit_qps);
-    std::fprintf(f, "  \"speedup\": %.3f,\n", serve_qps / scalar_qps);
-    std::fprintf(f, "  \"max_abs_diff\": %.3e,\n", max_diff);
-    std::fprintf(f, "  \"latency_p50_us\": %.1f,\n", run.p50Us);
-    std::fprintf(f, "  \"latency_p99_us\": %.1f,\n", run.p99Us);
-    // Flat socket_* keys: tools/bench_summary.sh renders one-key-per-
-    // line JSON, and these record the hot/cold split of the SLO run.
-    // The socket percentiles are burst-completion latencies (one
-    // sample per pipelined burst of socket_burst requests).
-    std::fprintf(f, "  \"socket_qps\": %.1f,\n", socket.qps);
-    std::fprintf(f, "  \"socket_p50_us\": %.1f,\n", socket.p50Us);
-    std::fprintf(f, "  \"socket_p90_us\": %.1f,\n", socket.p90Us);
-    std::fprintf(f, "  \"socket_p99_us\": %.1f,\n", socket.p99Us);
-    std::fprintf(f, "  \"socket_p99_over_p50\": %.3f,\n",
-                 socket.p50Us > 0.0 ? socket.p99Us / socket.p50Us : 0.0);
-    std::fprintf(f, "  \"socket_qps_vs_inprocess\": %.3f,\n",
-                 serve_qps > 0.0 ? socket.qps / serve_qps : 0.0);
-    std::fprintf(f, "  \"socket_hot_requests\": %zu,\n",
-                 socket.hotRequests);
-    std::fprintf(f, "  \"socket_cold_requests\": %zu,\n",
-                 socket.coldRequests);
-    std::fprintf(f, "  \"socket_burst\": %zu,\n", cfg.socketBurst);
-    std::fprintf(f, "  \"socket_burst_samples\": %zu,\n", socket.samples);
-    std::fprintf(f, "  \"socket_attempts\": %zu,\n", socket_attempts);
-    std::fprintf(f, "  \"socket_bitwise_identical\": %s,\n",
-                 socket_bitwise ? "true" : "false");
-    std::fprintf(f, "  \"service_latency_p50_us\": %.1f,\n",
-                 stats.latency.p50Us);
-    std::fprintf(f, "  \"service_latency_p90_us\": %.1f,\n",
-                 stats.latency.p90Us);
-    std::fprintf(f, "  \"service_latency_p99_us\": %.1f,\n",
-                 stats.latency.p99Us);
-    for (size_t s = 0; s < serve::kNumServeStatuses; ++s) {
-        std::fprintf(f, "  \"status_%s\": %llu,\n",
-                     serve::serveStatusName(
-                         static_cast<serve::ServeStatus>(s)),
-                     static_cast<unsigned long long>(stats.byStatus[s]));
-    }
-    std::fprintf(f, "  \"served_fast\": %llu,\n",
-                 static_cast<unsigned long long>(stats.servedFast));
-    std::fprintf(f, "  \"served_fallback_sim\": %llu,\n",
-                 static_cast<unsigned long long>(stats.servedFallbackSim));
-    std::fprintf(f, "  \"flagged_ood\": %llu,\n",
-                 static_cast<unsigned long long>(stats.flaggedOod));
-    std::fprintf(f, "  \"fallback_rejected_overload\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     stats.fallbackRejectedOverload));
-    std::fprintf(f, "  \"batches\": %llu,\n",
-                 static_cast<unsigned long long>(stats.queue.batches));
-    std::fprintf(f, "  \"batch_size_histogram\": {");
-    bool first = true;
-    for (size_t s = 1; s < stats.queue.batchSizeCounts.size(); ++s) {
-        if (!stats.queue.batchSizeCounts[s])
-            continue;
-        std::fprintf(f, "%s\"%zu\": %llu", first ? "" : ", ", s,
-                     static_cast<unsigned long long>(
-                         stats.queue.batchSizeCounts[s]));
-        first = false;
-    }
-    std::fprintf(f, "},\n");
-    std::fprintf(f, "  \"cache_hits\": %llu,\n",
-                 static_cast<unsigned long long>(stats.cache.hits));
-    std::fprintf(f, "  \"cache_misses\": %llu,\n",
-                 static_cast<unsigned long long>(stats.cache.misses));
-    std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    const char *smoke_env = std::getenv("CONCORDE_SMOKE");
-    cfg.smoke = smoke_env && *smoke_env && std::strcmp(smoke_env, "0") != 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: bench_serve_throughput "
-                         "[--smoke]\n");
-            return 2;
-        }
-    }
+    if (!benchutil::parseBenchMode(argc, argv, "bench_serve_throughput",
+                                   cfg.smoke))
+        return 2;
     if (cfg.smoke) {
         cfg.requests = 768;
         cfg.clients = 2;
@@ -666,12 +563,75 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_serve.json";
-    writeJson(json_path, cfg, scalar_qps, serve_qps, hit_qps, max_diff,
-              run, best, attempts_used, socket_bitwise, stats, pass);
-    std::printf("  wrote %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_serve.json");
+        json.text("bench", "serve_throughput");
+        json.text("mode", cfg.smoke ? "smoke" : "full");
+        json.field("requests", "%zu", cfg.requests);
+        json.field("clients", "%zu", cfg.clients);
+        json.field("bulk_max_batch", "%zu", cfg.maxBatch);
+        json.field("bulk_deadline_us", "%zu", cfg.deadlineUs);
+        json.field("interactive_max_batch", "%zu", cfg.interactiveBatch);
+        json.field("interactive_deadline_us", "%zu", cfg.interactiveUs);
+        json.field("scalar_qps", "%.1f", scalar_qps);
+        json.field("serve_qps", "%.1f", serve_qps);
+        json.field("cache_hit_qps", "%.1f", hit_qps);
+        json.field("speedup", "%.3f", serve_qps / scalar_qps);
+        json.field("max_abs_diff", "%.3e", max_diff);
+        json.field("latency_p50_us", "%.1f", run.p50Us);
+        json.field("latency_p99_us", "%.1f", run.p99Us);
+        // The socket_* keys record the hot/cold split of the SLO run;
+        // their percentiles are burst-completion latencies (one sample
+        // per pipelined burst of socket_burst requests).
+        json.field("socket_qps", "%.1f", best.qps);
+        json.field("socket_p50_us", "%.1f", best.p50Us);
+        json.field("socket_p90_us", "%.1f", best.p90Us);
+        json.field("socket_p99_us", "%.1f", best.p99Us);
+        json.field("socket_p99_over_p50", "%.3f",
+                   best.p50Us > 0.0 ? best.p99Us / best.p50Us : 0.0);
+        json.field("socket_qps_vs_inprocess", "%.3f",
+                   serve_qps > 0.0 ? best.qps / serve_qps : 0.0);
+        json.field("socket_hot_requests", "%zu", best.hotRequests);
+        json.field("socket_cold_requests", "%zu", best.coldRequests);
+        json.field("socket_burst", "%zu", cfg.socketBurst);
+        json.field("socket_burst_samples", "%zu", best.samples);
+        json.field("socket_attempts", "%zu", attempts_used);
+        json.flag("socket_bitwise_identical", socket_bitwise);
+        json.field("service_latency_p50_us", "%.1f", stats.latency.p50Us);
+        json.field("service_latency_p90_us", "%.1f", stats.latency.p90Us);
+        json.field("service_latency_p99_us", "%.1f", stats.latency.p99Us);
+        for (size_t s = 0; s < serve::kNumServeStatuses; ++s) {
+            const std::string key = std::string("status_")
+                + serve::serveStatusName(static_cast<serve::ServeStatus>(s));
+            json.field(key.c_str(), "%llu",
+                       static_cast<unsigned long long>(stats.byStatus[s]));
+        }
+        json.field("served_fast", "%llu",
+                   static_cast<unsigned long long>(stats.servedFast));
+        json.field("served_fallback_sim", "%llu",
+                   static_cast<unsigned long long>(stats.servedFallbackSim));
+        json.field("flagged_ood", "%llu",
+                   static_cast<unsigned long long>(stats.flaggedOod));
+        json.field("fallback_rejected_overload", "%llu",
+                   static_cast<unsigned long long>(
+                       stats.fallbackRejectedOverload));
+        json.field("batches", "%llu",
+                   static_cast<unsigned long long>(stats.queue.batches));
+        std::string histogram;
+        for (size_t s = 1; s < stats.queue.batchSizeCounts.size(); ++s) {
+            if (!stats.queue.batchSizeCounts[s])
+                continue;
+            histogram += (histogram.empty() ? "\"" : ", \"")
+                + std::to_string(s) + "\": "
+                + std::to_string(stats.queue.batchSizeCounts[s]);
+        }
+        json.field("batch_size_histogram", "{%s}", histogram.c_str());
+        json.field("cache_hits", "%llu",
+                   static_cast<unsigned long long>(stats.cache.hits));
+        json.field("cache_misses", "%llu",
+                   static_cast<unsigned long long>(stats.cache.misses));
+        json.flag("gate_pass", pass);
+    }
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");
     return pass ? 0 : 1;
 }

@@ -31,11 +31,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "analysis/trace_analyzer.hh"
+#include "bench_util.hh"
 #include "common/stopwatch.hh"
 #include "sim/o3_core.hh"
 #include "trace/workloads.hh"
@@ -193,27 +193,18 @@ main()
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_sim.json";
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"sim_labeler\",\n");
-        std::fprintf(f, "  \"regions\": %zu,\n", analyses.size());
-        std::fprintf(f, "  \"design_points\": %zu,\n", points.size());
-        std::fprintf(f, "  \"instructions_per_pass\": %llu,\n",
-                     static_cast<unsigned long long>(sim_instrs));
-        std::fprintf(f, "  \"reference_minstr_s\": %.3f,\n", ref_rate);
-        std::fprintf(f, "  \"fast_minstr_s\": %.3f,\n", fast_rate);
-        std::fprintf(f, "  \"fast_speedup\": %.3f,\n", speedup);
-        std::fprintf(f, "  \"result_mismatches\": %zu,\n", mismatches);
-        std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("  wrote %s\n", json_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_sim.json");
+        json.text("bench", "sim_labeler");
+        json.field("regions", "%zu", analyses.size());
+        json.field("design_points", "%zu", points.size());
+        json.field("instructions_per_pass", "%llu",
+                   static_cast<unsigned long long>(sim_instrs));
+        json.field("reference_minstr_s", "%.3f", ref_rate);
+        json.field("fast_minstr_s", "%.3f", fast_rate);
+        json.field("fast_speedup", "%.3f", speedup);
+        json.field("result_mismatches", "%zu", mismatches);
+        json.flag("gate_pass", pass);
     }
 
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");

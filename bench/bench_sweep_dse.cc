@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -77,16 +76,8 @@ int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    const char *smoke_env = std::getenv("CONCORDE_SMOKE");
-    cfg.smoke = smoke_env && *smoke_env && std::strcmp(smoke_env, "0") != 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: bench_sweep_dse [--smoke]\n");
-            return 2;
-        }
-    }
+    if (!benchutil::parseBenchMode(argc, argv, "bench_sweep_dse", cfg.smoke))
+        return 2;
     if (cfg.smoke) {
         cfg.regionChunks = 2;
         cfg.scalarReps = 1;
@@ -165,31 +156,21 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_sweep.json";
-    FILE *f = std::fopen(json_path.c_str(), "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"sweep_dse\",\n");
-        std::fprintf(f, "  \"mode\": \"%s\",\n",
-                     cfg.smoke ? "smoke" : "full");
-        std::fprintf(f, "  \"region_chunks\": %u,\n", cfg.regionChunks);
-        std::fprintf(f, "  \"design_points\": %zu,\n", points.size());
-        std::fprintf(f, "  \"scalar_pred_s\": %.1f,\n", scalar_rate);
-        std::fprintf(f, "  \"sweep_pred_s\": %.1f,\n", sweep_rate);
-        std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
-        std::fprintf(f, "  \"store_built\": %llu,\n",
-                     static_cast<unsigned long long>(store.built));
-        std::fprintf(f, "  \"store_hits\": %llu,\n",
-                     static_cast<unsigned long long>(store.hits));
-        std::fprintf(f, "  \"max_abs_diff\": %.3e,\n", max_diff);
-        std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("  wrote %s\n", json_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_sweep.json");
+        json.text("bench", "sweep_dse");
+        json.text("mode", cfg.smoke ? "smoke" : "full");
+        json.field("region_chunks", "%u", cfg.regionChunks);
+        json.field("design_points", "%zu", points.size());
+        json.field("scalar_pred_s", "%.1f", scalar_rate);
+        json.field("sweep_pred_s", "%.1f", sweep_rate);
+        json.field("speedup", "%.3f", speedup);
+        json.field("store_built", "%llu",
+                   static_cast<unsigned long long>(store.built));
+        json.field("store_hits", "%llu",
+                   static_cast<unsigned long long>(store.hits));
+        json.field("max_abs_diff", "%.3e", max_diff);
+        json.flag("gate_pass", pass);
     }
 
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");

@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -79,46 +78,6 @@ struct GateResults
     double trainSeconds = 0.0;
 };
 
-void
-writeJson(const std::string &path, const RunConfig &cfg,
-          const GateResults &r, bool pass)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"uncertainty\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", cfg.full ? "full" : "smoke");
-    std::fprintf(f, "  \"train_samples\": %zu,\n", cfg.trainSamples);
-    std::fprintf(f, "  \"test_samples\": %zu,\n", cfg.testSamples);
-    std::fprintf(f, "  \"alpha\": %.3f,\n", cfg.alpha);
-    std::fprintf(f, "  \"target_coverage\": %.3f,\n", 1.0 - cfg.alpha);
-    std::fprintf(f, "  \"coverage_tolerance\": %.3f,\n", kCoverageTol);
-    std::fprintf(f, "  \"empirical_coverage\": %.4f,\n", r.coverage);
-    std::fprintf(f, "  \"mean_rel_interval_width\": %.4f,\n",
-                 r.meanRelWidth);
-    std::fprintf(f, "  \"calibration_scores\": %zu,\n",
-                 r.calibrationScores);
-    std::fprintf(f, "  \"v1_artifact_max_pred_diff\": %.3e,\n",
-                 r.v1MaxPredDiff);
-    std::fprintf(f, "  \"max_train_ood_score\": %.4f,\n", r.maxTrainOod);
-    std::fprintf(f, "  \"synthetic_ood_score\": %.4f,\n", r.syntheticOod);
-    std::fprintf(f, "  \"fallback_max_abs_diff\": %.3e,\n",
-                 r.fallbackMaxDiff);
-    std::fprintf(f, "  \"served_fallback_sim\": %llu,\n",
-                 static_cast<unsigned long long>(r.servedFallbackSim));
-    std::fprintf(f, "  \"feedback_appended\": %llu,\n",
-                 static_cast<unsigned long long>(r.feedbackAppended));
-    std::fprintf(f, "  \"feedback_label_max_abs_diff\": %.3e,\n",
-                 r.feedbackMaxDiff);
-    std::fprintf(f, "  \"train_seconds\": %.2f,\n", r.trainSeconds);
-    std::fprintf(f, "  \"gate_pass\": %s\n", pass ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-}
-
 /**
  * Forge a genuine v1 artifact file from an uncalibrated v2 save: the
  * v2 format is v1 plus the version bump and one trailing
@@ -161,16 +120,10 @@ int
 main(int argc, char **argv)
 {
     RunConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0) {
-            cfg.full = true;
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            cfg.full = false;
-        } else {
-            std::fprintf(stderr, "usage: bench_uncertainty [--full]\n");
-            return 2;
-        }
-    }
+    bool smoke = true;
+    if (!benchutil::parseBenchMode(argc, argv, "bench_uncertainty", smoke))
+        return 2;
+    cfg.full = !smoke;
     if (cfg.full) {
         cfg.trainSamples = 4096;
         cfg.testSamples = 512;
@@ -412,11 +365,30 @@ main(int argc, char **argv)
         }
     }
 
-    const char *json_env = std::getenv("CONCORDE_BENCH_JSON");
-    const std::string json_path =
-        json_env && *json_env ? json_env : "BENCH_uncertainty.json";
-    writeJson(json_path, cfg, r, pass);
-    std::printf("  wrote %s\n", json_path.c_str());
+    {
+        benchutil::BenchJson json("BENCH_uncertainty.json");
+        json.text("bench", "uncertainty");
+        json.text("mode", cfg.full ? "full" : "smoke");
+        json.field("train_samples", "%zu", cfg.trainSamples);
+        json.field("test_samples", "%zu", cfg.testSamples);
+        json.field("alpha", "%.3f", cfg.alpha);
+        json.field("target_coverage", "%.3f", 1.0 - cfg.alpha);
+        json.field("coverage_tolerance", "%.3f", kCoverageTol);
+        json.field("empirical_coverage", "%.4f", r.coverage);
+        json.field("mean_rel_interval_width", "%.4f", r.meanRelWidth);
+        json.field("calibration_scores", "%zu", r.calibrationScores);
+        json.field("v1_artifact_max_pred_diff", "%.3e", r.v1MaxPredDiff);
+        json.field("max_train_ood_score", "%.4f", r.maxTrainOod);
+        json.field("synthetic_ood_score", "%.4f", r.syntheticOod);
+        json.field("fallback_max_abs_diff", "%.3e", r.fallbackMaxDiff);
+        json.field("served_fallback_sim", "%llu",
+                   static_cast<unsigned long long>(r.servedFallbackSim));
+        json.field("feedback_appended", "%llu",
+                   static_cast<unsigned long long>(r.feedbackAppended));
+        json.field("feedback_label_max_abs_diff", "%.3e", r.feedbackMaxDiff);
+        json.field("train_seconds", "%.2f", r.trainSeconds);
+        json.flag("gate_pass", pass);
+    }
     std::printf(pass ? "  GATE PASS\n" : "  GATE FAIL\n");
     return pass ? 0 : 1;
 }

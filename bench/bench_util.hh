@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the evaluation benches: error statistics, CDF
- * printing, and the cached TAO baseline artifact.
+ * printing, the cached TAO baseline artifact, and the mode flags and
+ * BENCH_*.json writer of the gated benches.
  */
 
 #ifndef CONCORDE_BENCH_BENCH_UTIL_HH
@@ -9,7 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -135,6 +139,102 @@ taoArtifact()
     model.save(path);
     return model;
 }
+
+/**
+ * Parse a gated bench's mode flags into `smoke`, whose value on entry
+ * is the bench's default. `--smoke` selects the small CI sizes. A
+ * bench that defaults to full sizes also honours CONCORDE_SMOKE (any
+ * value but "0" selects smoke); one that defaults to smoke takes
+ * `--full` instead. Any other argument prints a usage line and returns
+ * false (the caller exits 2).
+ */
+inline bool
+parseBenchMode(int argc, char **argv, const char *name, bool &smoke)
+{
+    const bool smoke_default = smoke;
+    if (!smoke_default) {
+        const char *env = std::getenv("CONCORDE_SMOKE");
+        smoke = env && *env && std::strcmp(env, "0") != 0;
+    }
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--smoke") == 0) {
+            smoke = true;
+        } else if (smoke_default && std::strcmp(argv[i], "--full") == 0) {
+            smoke = false;
+        } else {
+            std::fprintf(stderr, "usage: %s [%s]\n", name,
+                         smoke_default ? "--full" : "--smoke");
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * Writer of one gated bench's BENCH_*.json summary: a flat object with
+ * one key per line, in call order -- the shape tools/bench_summary.sh
+ * parses. The file goes to $CONCORDE_BENCH_JSON when set, else to
+ * `default_name`.
+ */
+class BenchJson
+{
+  public:
+    explicit BenchJson(const char *default_name)
+    {
+        const char *env = std::getenv("CONCORDE_BENCH_JSON");
+        path = env && *env ? env : default_name;
+        file = std::fopen(path.c_str(), "w");
+        if (file)
+            std::fputs("{", file);
+        else
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    }
+
+    ~BenchJson() { close(); }
+
+    BenchJson(const BenchJson &) = delete;
+    BenchJson &operator=(const BenchJson &) = delete;
+
+    /** `"key": value`, the value rendered by printf(fmt, ...). */
+    void field(const char *key, const char *fmt, ...)
+        __attribute__((format(printf, 3, 4)))
+    {
+        if (!file)
+            return;
+        std::fprintf(file, "%s\n  \"%s\": ", first ? "" : ",", key);
+        first = false;
+        va_list args;
+        va_start(args, fmt);
+        std::vfprintf(file, fmt, args);
+        va_end(args);
+    }
+
+    void text(const char *key, const char *value)
+    {
+        field(key, "\"%s\"", value);
+    }
+
+    void flag(const char *key, bool value)
+    {
+        field(key, "%s", value ? "true" : "false");
+    }
+
+    /** Close the object and report the path (idempotent). */
+    void close()
+    {
+        if (!file)
+            return;
+        std::fputs("\n}\n", file);
+        std::fclose(file);
+        file = nullptr;
+        std::printf("  wrote %s\n", path.c_str());
+    }
+
+  private:
+    std::string path;
+    std::FILE *file = nullptr;
+    bool first = true;
+};
 
 /** Indices of dataset samples belonging to one program. */
 inline std::vector<size_t>

@@ -58,13 +58,6 @@ BinaryReader::~BinaryReader()
         std::fclose(file);
 }
 
-void
-BinaryReader::rewind()
-{
-    fatal_if(std::fseek(file, 0, SEEK_SET) != 0, "cannot rewind: %s",
-             std::strerror(errno));
-}
-
 std::string
 BinaryReader::getString()
 {
@@ -162,43 +155,61 @@ publishFile(const std::string &tmp_path, const std::string &final_path)
     }
 }
 
-size_t
-reclaimStagingDebris(const std::string &final_path)
+namespace
 {
-    const auto slash = final_path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : final_path.substr(0, slash);
-    const std::string base = slash == std::string::npos
-        ? final_path : final_path.substr(slash + 1);
-    const std::string prefix = base + ".tmp.";
 
+/**
+ * Classify a directory entry as a staging file. Returns the length of
+ * the staged target's name in `target_len` and the writer's pid for a
+ * `<target>.tmp.<pid>.<n>` name (see uniqueTmpName), 0 for a legacy
+ * fixed-name `<target>.tmp` (no writer stages under such a name any
+ * more, so it never belongs to a live one), or -1 for any other name.
+ */
+long
+stagingWriter(const std::string &name, size_t &target_len)
+{
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
+        target_len = name.size() - 4;
+        return 0;
+    }
+    const auto pos = name.rfind(".tmp.");
+    if (pos == std::string::npos)
+        return -1;
+    const char *pid_str = name.c_str() + pos + 5;
+    char *end = nullptr;
+    const long pid = std::strtol(pid_str, &end, 10);
+    if (end == pid_str || pid <= 0 || *end != '.')
+        return -1;
+    const char *counter_str = end + 1;
+    char *counter_end = nullptr;
+    (void)std::strtol(counter_str, &counter_end, 10);
+    if (counter_end == counter_str || *counter_end != '\0')
+        return -1;
+    target_len = pos;
+    return pid;
+}
+
+} // anonymous namespace
+
+size_t
+reclaimStagingFiles(const std::string &dir, const std::string &target)
+{
     DIR *d = ::opendir(dir.empty() ? "/" : dir.c_str());
     if (!d)
         return 0;
     std::vector<std::string> stale;
     while (struct dirent *entry = ::readdir(d)) {
         const std::string name = entry->d_name;
-        if (name == base + ".tmp") {
-            // Legacy fixed-name staging file: its writer embeds no
-            // pid, so by convention it is never a live writer's.
-            stale.push_back(name);
+        size_t target_len = 0;
+        const long pid = stagingWriter(name, target_len);
+        if (pid < 0)
             continue;
-        }
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        // Parse "<pid>.<counter>" after the prefix.
-        const char *pid_str = name.c_str() + prefix.size();
-        char *end = nullptr;
-        const long pid = std::strtol(pid_str, &end, 10);
-        if (end == pid_str || pid <= 0 || *end != '.')
-            continue;
-        char *counter_end = nullptr;
-        (void)std::strtol(end + 1, &counter_end, 10);
-        if (counter_end == end + 1 || *counter_end != '\0')
+        if (!target.empty() && name.compare(0, target_len, target) != 0)
             continue;
         // Only ESRCH proves the writer is gone: EPERM would mean a
         // live process owned by another user, whose file must stay.
-        if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH)
+        if (pid == 0
+            || (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH))
             stale.push_back(name);
     }
     ::closedir(d);
@@ -211,6 +222,16 @@ reclaimStagingDebris(const std::string &final_path)
             ++removed;
     }
     return removed;
+}
+
+size_t
+reclaimStagingDebris(const std::string &final_path)
+{
+    const auto slash = final_path.find_last_of('/');
+    if (slash == std::string::npos)
+        return reclaimStagingFiles(".", final_path);
+    return reclaimStagingFiles(final_path.substr(0, slash),
+                               final_path.substr(slash + 1));
 }
 
 void

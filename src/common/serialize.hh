@@ -89,11 +89,6 @@ class BinaryReader
 
     std::string getString();
 
-    /** Seek back to the start of the stream (format auto-detection). */
-    void rewind();
-
-    bool ok() const { return file != nullptr; }
-
   private:
     void read(void *data, size_t bytes);
     std::FILE *file;
@@ -137,13 +132,20 @@ std::string uniqueTmpName(const std::string &final_path);
 void publishFile(const std::string &tmp_path, const std::string &final_path);
 
 /**
- * Remove staging files of `final_path` (`<final_path>.tmp.<pid>.<n>`,
- * plus the legacy fixed `<final_path>.tmp`) whose writer process is
- * provably dead -- the crash-recovery sweep for any file maintained
- * with the uniqueTmpName + publishFile discipline. The published file
- * itself is never touched: publishFile's rename is atomic, so it is
- * always the last complete version. @return files removed.
+ * Remove the staging files in `dir` whose writer process is provably
+ * dead -- the crash-recovery sweep for any file maintained with the
+ * uniqueTmpName + publishFile discipline. A staging file is
+ * `<target>.tmp.<pid>.<n>` (reclaimed once `pid` is gone) or the legacy
+ * fixed `<target>.tmp` (always reclaimed). An empty `target` sweeps the
+ * staging files of every target in `dir`; otherwise only those of
+ * `dir/target`. Published files are never touched: publishFile's
+ * rename is atomic, so each is always its last complete version.
+ * @return files removed.
  */
+size_t reclaimStagingFiles(const std::string &dir,
+                           const std::string &target = {});
+
+/** reclaimStagingFiles for the staging files of one `final_path`. */
 size_t reclaimStagingDebris(const std::string &final_path);
 
 } // namespace concorde

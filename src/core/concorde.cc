@@ -163,36 +163,4 @@ ConcordePredictor::predictLongProgram(const UarchParams &params,
     return acc / num_samples;
 }
 
-namespace
-{
-
-/** Header of the versioned predictor file format ("CONCORD1"). */
-constexpr uint64_t kPredictorMagic = 0x3144524f434e4f43ULL;
-
-} // anonymous namespace
-
-void
-ConcordePredictor::save(const std::string &path) const
-{
-    panic_if(!trainedModel.valid(), "save() on an empty predictor");
-    BinaryWriter out(path);
-    out.put<uint64_t>(kPredictorMagic);
-    saveFeatureConfig(out, featureCfg);
-    trainedModel.save(out);
-}
-
-ConcordePredictor
-ConcordePredictor::load(const std::string &path)
-{
-    BinaryReader in(path);
-    if (in.get<uint64_t>() != kPredictorMagic) {
-        // Legacy headerless files hold just the model; they predate
-        // FeatureConfig serialization, which always used the defaults.
-        in.rewind();
-        return ConcordePredictor(TrainedModel::load(in), FeatureConfig{});
-    }
-    FeatureConfig cfg = loadFeatureConfig(in);
-    return ConcordePredictor(TrainedModel::load(in), std::move(cfg));
-}
-
 } // namespace concorde

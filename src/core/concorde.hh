@@ -4,6 +4,11 @@
  * microarchitecture) pairs via the compositional analytical-ML pipeline
  * (Figure 3): trace analysis -> per-resource analytical models ->
  * performance distributions -> lightweight MLP.
+ *
+ * A predictor has no file format of its own: a trained model travels
+ * as a ModelArtifact (core/model_artifact.hh), which bundles the model
+ * with the FeatureConfig it was trained against, and
+ * ModelArtifact::predictor() rebuilds this class from it.
  */
 
 #ifndef CONCORDE_CORE_CONCORDE_HH
@@ -106,15 +111,6 @@ class ConcordePredictor
                               int trace_id, uint64_t trace_chunks,
                               int num_samples, uint32_t region_chunks,
                               uint64_t seed) const;
-
-    /**
-     * Serialize the predictor: a versioned header, the FeatureConfig it
-     * was trained with, and the model. load() restores the exact feature
-     * configuration (legacy headerless model files are still accepted and
-     * get the default config).
-     */
-    void save(const std::string &path) const;
-    static ConcordePredictor load(const std::string &path);
 
   private:
     TrainedModel trainedModel;

@@ -57,8 +57,7 @@ struct Dataset
     /**
      * Versioned on-disk format: field-wise SampleMeta serialization, so
      * the bytes are independent of struct padding and ABI, and identical
-     * save() calls produce identical files. Legacy raw-struct files
-     * (the pre-v2 magic) are still loadable.
+     * save() calls produce identical files.
      */
     void save(const std::string &path) const;
     static Dataset load(const std::string &path);
@@ -176,19 +175,19 @@ DatasetManifest ensureDatasetManifest(const DatasetConfig &config,
                                       size_t shard_samples);
 
 /**
- * True if `path` plausibly holds a dataset shard: non-empty with a
- * recognized magic. A zero-length or garbage file -- the footprint of a
- * crash between file creation and durable publish on a pre-durability
- * writer, or of disk corruption -- must be treated as missing, not
- * trusted by resume.
+ * True if `path` plausibly holds a dataset shard: non-empty with the
+ * current (v2) magic. A zero-length or garbage file -- the footprint of
+ * a crash between file creation and durable publish on a
+ * pre-durability writer, or of disk corruption -- and a pre-v2 shard
+ * are treated as missing, not trusted by resume; repairDatasetDir
+ * deletes them so the build regenerates them.
  */
 bool datasetShardValid(const std::string &path);
 
 /**
  * Reclaim crash debris in a dataset directory: staging files whose
- * writer pid is dead (plus legacy fixed-name `.tmp` files) and published
- * shards that fail datasetShardValid are deleted so the next build
- * regenerates them. Live writers' staging files are left alone, making
+ * writer pid is dead (reclaimStagingFiles) and published shards that
+ * fail datasetShardValid are deleted so the next build regenerates them. Live writers' staging files are left alone, making
  * this safe to run while other workers are mid-shard. Returns the
  * number of files removed.
  */

@@ -105,4 +105,22 @@ fitConformalCalibration(const std::vector<float> &preds,
     return cal;
 }
 
+double
+empiricalCoverage(const ConformalCalibration &cal,
+                  const std::vector<float> &preds,
+                  const std::vector<float> &labels, double alpha)
+{
+    panic_if(preds.size() != labels.size(),
+             "coverage preds/labels size mismatch");
+    if (labels.empty())
+        return 0.0;
+    size_t covered = 0;
+    for (size_t i = 0; i < labels.size(); ++i) {
+        double lo = 0.0, hi = 0.0;
+        cal.intervalAround(preds[i], alpha, lo, hi);
+        covered += labels[i] >= lo && labels[i] <= hi;
+    }
+    return static_cast<double>(covered) / static_cast<double>(labels.size());
+}
+
 } // namespace concorde

@@ -22,6 +22,10 @@
  * score 0. It is a cheap guardrail, not a density estimate -- the
  * serve layer treats it as "route this one to the simulator", exactly
  * the crosscheck the paper's Section 8 asks for.
+ *
+ * Offline use needs no wrapper class: fit with
+ * fitConformalCalibration(model.predictBatch(x, dim), y, x, dim) and
+ * check it with empiricalCoverage.
  */
 
 #ifndef CONCORDE_ML_CALIBRATION_HH
@@ -85,6 +89,15 @@ fitConformalCalibration(const std::vector<float> &preds,
                         const std::vector<float> &labels,
                         const std::vector<float> &envelope_features,
                         size_t dim);
+
+/**
+ * Fraction of `labels` inside the (1-alpha) interval around their
+ * predictions `preds` -- the validation of a calibration on a held-out
+ * set (should be >= 1-alpha up to sampling noise). 0 for an empty set.
+ */
+double empiricalCoverage(const ConformalCalibration &cal,
+                         const std::vector<float> &preds,
+                         const std::vector<float> &labels, double alpha);
 
 } // namespace concorde
 

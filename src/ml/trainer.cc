@@ -275,7 +275,7 @@ void
 saveCheckpointFile(const std::string &path, uint64_t fingerprint,
                    const TrainState &state)
 {
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = uniqueTmpName(path);
     {
         BinaryWriter out(tmp);
         out.put<uint64_t>(kCheckpointMagic);

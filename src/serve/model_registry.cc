@@ -23,12 +23,6 @@ ModelRegistry::add(const std::string &name, ConcordePredictor predictor)
 }
 
 ModelHandle
-ModelRegistry::addFromFile(const std::string &name, const std::string &path)
-{
-    return add(name, ConcordePredictor::load(path));
-}
-
-ModelHandle
 ModelRegistry::addArtifact(const std::string &name,
                            const ModelArtifact &artifact)
 {

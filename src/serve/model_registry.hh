@@ -59,10 +59,6 @@ class ModelRegistry
      */
     ModelHandle add(const std::string &name, ConcordePredictor predictor);
 
-    /** Register a predictor loaded from a ConcordePredictor::save file. */
-    ModelHandle addFromFile(const std::string &name,
-                            const std::string &path);
-
     /** Register (or hot-swap to) a versioned model artifact. */
     ModelHandle addArtifact(const std::string &name,
                             const ModelArtifact &artifact);

@@ -1,5 +1,6 @@
 #include "serve/prediction_service.hh"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 #include "analysis/analysis_store.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
-#include "common/stopwatch.hh"
 #include "sim/o3_core.hh"
 
 namespace concorde
@@ -24,6 +24,10 @@ namespace
 /** Warm-set file magic ("CWRM") and version. */
 constexpr uint32_t kWarmSetMagic = 0x4357524D;
 constexpr uint16_t kWarmSetVersion = 1;
+/** u32 magic + u16 version + u64 record count. */
+constexpr uint64_t kWarmSetHeaderBytes = 4 + 2 + 8;
+/** One RegionSpec: i32 program, i32 trace, u64 start, u32 chunks. */
+constexpr uint64_t kWarmSetRecordBytes = 4 + 4 + 8 + 4;
 
 /**
  * Fault-injection hook (tests only): when
@@ -139,94 +143,6 @@ PredictionService::predict(const PredictRequest &request)
     return submit(request).get();
 }
 
-std::future<double>
-PredictionService::predictAsync(const std::string &model,
-                                const RegionSpec &region,
-                                const UarchParams &params)
-{
-    // The historical contract: an unknown model throws here, at call
-    // time, not from the future.
-    if (!models.get(model).valid())
-        throw std::invalid_argument("unknown model '" + model + "'");
-
-    PredictRequest request;
-    request.model = model;
-    request.region = region;
-    request.params = params;
-
-    auto typed = submit(std::move(request));
-    // Deferred unwrap: get() yields the CPI or rethrows any non-OK
-    // outcome as the runtime_error legacy callers expect.
-    return std::async(
-        std::launch::deferred,
-        [future = std::move(typed)]() mutable -> double {
-            PredictResponse response = future.get();
-            if (!response.ok()) {
-                throw std::runtime_error(
-                    response.message.empty()
-                        ? std::string("prediction failed: ")
-                              + serveStatusName(response.status)
-                        : response.message);
-            }
-            return response.cpi;
-        });
-}
-
-double
-PredictionService::predict(const std::string &model,
-                           const RegionSpec &region,
-                           const UarchParams &params)
-{
-    return predictAsync(model, region, params).get();
-}
-
-pipeline::PipelineResult
-PredictionService::predictSpan(const std::string &model,
-                               const TraceSpan &span,
-                               uint32_t region_chunks,
-                               const UarchParams &params)
-{
-    Stopwatch total;
-    pipeline::PipelineResult res;
-    res.regions = shardSpan(span, region_chunks);
-
-    // All regions in flight at once, riding the Bulk class: the queue
-    // coalesces them into shared feature-assembly + GEMM batches.
-    std::vector<std::future<PredictResponse>> futures;
-    futures.reserve(res.regions.size());
-    for (const auto &region : res.regions) {
-        PredictRequest request;
-        request.model = model;
-        request.region = region;
-        request.params = params;
-        request.cls = RequestClass::Bulk;
-        futures.push_back(submit(std::move(request)));
-    }
-    res.regionCpi.reserve(res.regions.size());
-    for (auto &future : futures) {
-        PredictResponse response = future.get();
-        if (!response.ok()) {
-            // Preserve the historical throwing contract of this shim.
-            if (response.status == ServeStatus::UNKNOWN_MODEL)
-                throw std::invalid_argument(response.message);
-            throw std::runtime_error(
-                response.message.empty()
-                    ? std::string("prediction failed: ")
-                          + serveStatusName(response.status)
-                    : response.message);
-        }
-        res.regionCpi.push_back(response.cpi);
-    }
-
-    res.programCpi = pipeline::aggregateCpi(res.regions, res.regionCpi,
-                                            &res.instructions);
-    const ModelHandle handle = models.get(model);
-    if (handle.valid())
-        res.featureDim = handle.predictor->layout().dim();
-    res.totalSeconds = total.seconds();
-    return res;
-}
-
 ServeStatus
 PredictionService::warmRegions(const std::string &model,
                                const std::vector<RegionSpec> &regions,
@@ -304,7 +220,7 @@ PredictionService::saveWarmSet(const std::string &path) const
                     }),
         regions.end());
 
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = uniqueTmpName(path);
     {
         BinaryWriter writer(tmp);
         writer.put<uint32_t>(kWarmSetMagic);
@@ -326,12 +242,27 @@ PredictionService::warmFromFile(const std::string &model,
                                 const std::string &path,
                                 const std::vector<UarchParams> &points)
 {
+    // The size must match the header's record count exactly, checked
+    // before any read: a forged count must not reach reserve(), and a
+    // truncated file must not reach the reader's short-read fatal().
+    const auto not_warm_set = [&path]() {
+        return std::runtime_error("not a warm-set file: " + path);
+    };
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)
+        || static_cast<uint64_t>(st.st_size) < kWarmSetHeaderBytes) {
+        throw not_warm_set();
+    }
     BinaryReader reader(path);
-    if (!reader.ok() || reader.get<uint32_t>() != kWarmSetMagic ||
+    if (reader.get<uint32_t>() != kWarmSetMagic ||
         reader.get<uint16_t>() != kWarmSetVersion) {
-        throw std::runtime_error("not a warm-set file: " + path);
+        throw not_warm_set();
     }
     const uint64_t n = reader.get<uint64_t>();
+    const uint64_t body = static_cast<uint64_t>(st.st_size)
+        - kWarmSetHeaderBytes;
+    if (body % kWarmSetRecordBytes != 0 || body / kWarmSetRecordBytes != n)
+        throw not_warm_set();
     std::vector<RegionSpec> regions;
     regions.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {

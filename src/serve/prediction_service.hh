@@ -4,7 +4,7 @@
  * inference engine.
  *
  *     clients ── submit(PredictRequest) ──> PredictResponse completions
- *        │        (in-process callers, legacy shims, net_server.hh)
+ *        │        (in-process callers, net_server.hh)
  *        ▼
  *     BatchingQueue (per-class size-or-age flush, admission, timeouts)
  *        │  flushed batches, dispatched through the ThreadPool
@@ -19,11 +19,10 @@
  * Results are identical to calling predictCpi request-by-request; the
  * service only changes how the work is scheduled.
  *
- * The typed submit/predict entry points (serve_api.hh) are the real
- * API: every outcome is a ServeStatus, never an exception. The older
- * predictAsync/predict/predictSpan signatures remain as thin shims with
- * their historical contract (unknown model throws std::invalid_argument,
- * a handler fault surfaces from future::get).
+ * submit/predict (serve_api.hh) are the only entry points: every
+ * outcome is a ServeStatus, never an exception. A whole trace span is
+ * served by submitting each region of shardSpan() on the Bulk class and
+ * aggregating with pipeline::aggregateCpi.
  */
 
 #ifndef CONCORDE_SERVE_PREDICTION_SERVICE_HH
@@ -39,7 +38,6 @@
 
 #include "common/stats.hh"
 #include "core/dataset.hh"
-#include "pipeline/analysis_pipeline.hh"
 #include "serve/batching_queue.hh"
 #include "serve/model_registry.hh"
 #include "serve/prediction_cache.hh"
@@ -177,34 +175,6 @@ class PredictionService
     PredictResponse predict(const PredictRequest &request);
 
     /**
-     * Legacy shim over submit(): throws std::invalid_argument if
-     * `model` is not registered; any other non-OK outcome surfaces as
-     * std::runtime_error from future::get. The future is deferred --
-     * call get()/wait(), not wait_for().
-     */
-    std::future<double> predictAsync(const std::string &model,
-                                     const RegionSpec &region,
-                                     const UarchParams &params);
-
-    /** Blocking convenience wrapper around predictAsync. */
-    double predict(const std::string &model, const RegionSpec &region,
-                   const UarchParams &params);
-
-    /**
-     * Pipeline-backed endpoint: shard a trace span into regions of
-     * `region_chunks`, answer every region through the batching/caching
-     * service path concurrently, and aggregate. Region semantics are
-     * the service's per-region warmup convention, so results are
-     * bitwise identical to AnalysisPipeline with StateMode::Independent
-     * and the default warmup (the golden corpus pins this down).
-     * Regions ride the Bulk class: throughput, not tail latency.
-     */
-    pipeline::PipelineResult predictSpan(const std::string &model,
-                                         const TraceSpan &span,
-                                         uint32_t region_chunks,
-                                         const UarchParams &params);
-
-    /**
      * Warm path: pre-populate the shared AnalysisStore and this
      * service's per-(model, region) FeatureProviders for `regions`,
      * and -- when `points` is non-empty -- pre-answer every
@@ -226,7 +196,12 @@ class PredictionService
      */
     size_t saveWarmSet(const std::string &path) const;
 
-    /** Load a saveWarmSet() file and warmRegions() it for `model`. */
+    /**
+     * Load a saveWarmSet() file and warmRegions() it for `model`.
+     * Throws std::runtime_error ("not a warm-set file") when the file is
+     * missing, has a foreign header, or its size disagrees with its
+     * record count.
+     */
     ServeStatus warmFromFile(const std::string &model,
                              const std::string &path,
                              const std::vector<UarchParams> &points = {});

@@ -2,16 +2,15 @@
  * @file
  * The typed request/response contract of the serving stack.
  *
- * Every way into the service -- the in-process typed API, the legacy
- * predictAsync/predict/predictSpan shims, and the network front end
- * (net_server.hh) -- speaks PredictRequest -> PredictResponse. Routine
- * failures are *statuses*, not exceptions: a wire protocol cannot
- * serialize a std::invalid_argument, and a client under load must be
- * able to distinguish "your model name is wrong" (UNKNOWN_MODEL) from
- * "come back later" (OVERLOADED) from "you waited too long" (TIMEOUT)
- * without parsing strings. Exceptions remain for programming errors
- * only; a handler fault inside the service surfaces as INTERNAL_ERROR
- * with a diagnostic message.
+ * Both ways into the service -- the in-process submit/predict API and
+ * the network front end (net_server.hh) -- speak PredictRequest ->
+ * PredictResponse. Routine failures are *statuses*, not exceptions: a
+ * wire protocol cannot serialize a std::invalid_argument, and a client
+ * under load must be able to distinguish "your model name is wrong"
+ * (UNKNOWN_MODEL) from "come back later" (OVERLOADED) from "you waited
+ * too long" (TIMEOUT) without parsing strings. Exceptions remain for
+ * programming errors only; a handler fault inside the service surfaces
+ * as INTERNAL_ERROR with a diagnostic message.
  */
 
 #ifndef CONCORDE_SERVE_SERVE_API_HH

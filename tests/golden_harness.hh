@@ -8,8 +8,9 @@
  * state conventions (independent warmup replay and carried state).
  *
  * Every pipeline configuration must reproduce these numbers: the scalar
- * region loop is the reference executor, and the sharded and
- * service-backed executors must match it bitwise (test_golden).
+ * region loop is the reference executor, and the sharded pipeline and
+ * the serve layer (each region submitted on the Bulk class) must match
+ * it bitwise (test_golden).
  *
  * Regeneration: CONCORDE_REGEN_GOLDEN=1 ./tests/test_golden rewrites
  * the corpus in place (see tests/golden/README.md). CI only ever diffs.
@@ -20,11 +21,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "core/artifacts.hh"
 #include "pipeline/analysis_pipeline.hh"
+#include "serve/prediction_service.hh"
 #include "trace/workloads.hh"
 
 namespace concorde
@@ -167,6 +170,35 @@ compute(const GoldenCase &c)
             result.features.begin() + result.featureDim);
     }
     return record;
+}
+
+/**
+ * Serve a whole span through the typed API: every region of
+ * shardSpan(span, region_chunks) is submitted at once on the Bulk class,
+ * and the answers are aggregated with pipeline::aggregateCpi. Fills the
+ * regions, regionCpi, programCpi and instructions of the result; a
+ * non-OK answer is a test failure.
+ */
+inline pipeline::PipelineResult
+serveSpan(serve::PredictionService &service, const std::string &model,
+          const TraceSpan &span, uint32_t region_chunks,
+          const UarchParams &params)
+{
+    pipeline::PipelineResult result;
+    result.regions = shardSpan(span, region_chunks);
+    std::vector<std::future<serve::PredictResponse>> futures;
+    for (const RegionSpec &region : result.regions) {
+        futures.push_back(service.submit(
+            {model, region, params, serve::RequestClass::Bulk}));
+    }
+    for (auto &future : futures) {
+        const serve::PredictResponse response = future.get();
+        EXPECT_TRUE(response.ok()) << response.message;
+        result.regionCpi.push_back(response.cpi);
+    }
+    result.programCpi = pipeline::aggregateCpi(
+        result.regions, result.regionCpi, &result.instructions);
+    return result;
 }
 
 /** Directory of the committed corpus (env overrides the build-time path). */

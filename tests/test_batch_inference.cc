@@ -3,14 +3,12 @@
  * Tests for the batched inference engine: Mlp::forwardBatch,
  * TrainedModel::predictBatch, and ConcordePredictor::predictCpiBatch
  * must match the scalar path within 1e-6, including batch sizes 0, 1,
- * and larger than the thread count. Also covers the versioned
- * predictor file format (FeatureConfig round-trip).
+ * and larger than the thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/rng.hh"
 #include "core/concorde.hh"
@@ -179,53 +177,6 @@ TEST(PredictCpiBatch, PointerOverloadAgrees)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(PredictorSaveLoad, RoundTripsNonDefaultFeatureConfig)
-{
-    FeatureConfig cfg;
-    cfg.windowK = 200;
-    cfg.numPercentiles = 9;
-    cfg.robSweep = {2, 8, 32, 128};
-    cfg.latencyRobSizes = {4, 64};
-    const ConcordePredictor predictor = randomPredictor(cfg, 71);
-
-    const std::string path = "/tmp/concorde_test_batch_predictor.bin";
-    predictor.save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(loaded.featureConfig().windowK, cfg.windowK);
-    EXPECT_EQ(loaded.featureConfig().numPercentiles, cfg.numPercentiles);
-    EXPECT_EQ(loaded.featureConfig().robSweep, cfg.robSweep);
-    EXPECT_EQ(loaded.featureConfig().latencyRobSizes,
-              cfg.latencyRobSizes);
-    EXPECT_EQ(loaded.layout().dim(), predictor.layout().dim());
-
-    // Predictions must survive the round trip, through the restored
-    // feature configuration (a default-config provider would have the
-    // wrong dimensionality entirely).
-    RegionSpec spec{2, 0, 0, 1};
-    const UarchParams n1 = UarchParams::armN1();
-    EXPECT_EQ(predictor.predictCpi(spec, n1),
-              loaded.predictCpi(spec, n1));
-}
-
-TEST(PredictorSaveLoad, LegacyHeaderlessFilesStillLoad)
-{
-    // A legacy artifact holds just the TrainedModel; load() must accept
-    // it and fall back to the default FeatureConfig.
-    const ConcordePredictor predictor =
-        randomPredictor(FeatureConfig{}, 72);
-    const std::string path = "/tmp/concorde_test_legacy_model.bin";
-    predictor.model().save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.layout().dim(), predictor.layout().dim());
-    RegionSpec spec{3, 0, 0, 1};
-    const UarchParams n1 = UarchParams::armN1();
-    EXPECT_EQ(predictor.predictCpi(spec, n1),
-              loaded.predictCpi(spec, n1));
 }
 
 } // anonymous namespace

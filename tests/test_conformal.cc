@@ -18,7 +18,6 @@
 #include "common/serialize.hh"
 #include "core/model_artifact.hh"
 #include "ml/calibration.hh"
-#include "ml/conformal.hh"
 #include "ml/trainer.hh"
 
 namespace concorde
@@ -175,6 +174,17 @@ TEST(ConformalCalibration, FitRejectsMismatchedInputs)
                 ::testing::ExitedWithCode(1), "multiple of dim");
 }
 
+TEST(ConformalCalibration, EmpiricalCoverageCountsLabelsInsideIntervals)
+{
+    // Scores {0.1, 0.2, 0.3}: at alpha 0.5 the rank is ceil(4 * 0.5) = 2,
+    // so q = 0.2 and the interval around p is [0.8 p, 1.2 p].
+    const ConformalCalibration cal = calWithScores({0.1, 0.2, 0.3});
+    const std::vector<float> preds = {1.0f, 1.0f, 2.0f, 2.0f};
+    const std::vector<float> labels = {1.1f, 1.3f, 1.5f, 2.0f};
+    EXPECT_DOUBLE_EQ(empiricalCoverage(cal, preds, labels, 0.5), 0.5);
+    EXPECT_EQ(empiricalCoverage(cal, {}, {}, 0.5), 0.0);
+}
+
 TEST(ConformalCalibration, EmpiricalCoverageOfPureCalibrationMath)
 {
     // Without any model: labels scatter multiplicatively around the
@@ -194,15 +204,9 @@ TEST(ConformalCalibration, EmpiricalCoverageOfPureCalibrationMath)
         {labels.begin(), labels.begin() + half}, {}, 1);
 
     for (double alpha : {0.3, 0.1}) {
-        size_t covered = 0;
-        for (size_t i = half; i < n; ++i) {
-            double lo = 0.0, hi = 0.0;
-            cal.intervalAround(preds[i], alpha, lo, hi);
-            if (labels[i] >= lo && labels[i] <= hi)
-                ++covered;
-        }
-        const double coverage =
-            static_cast<double>(covered) / static_cast<double>(n - half);
+        const double coverage = empiricalCoverage(
+            cal, {preds.begin() + half, preds.end()},
+            {labels.begin() + half, labels.end()}, alpha);
         EXPECT_GE(coverage, 1.0 - alpha - 0.04)
             << "undercoverage at alpha " << alpha;
     }
@@ -351,33 +355,6 @@ TEST(ConformalCalibration, ArtifactRoundTripAndV1Compatibility)
     std::remove(v2_path.c_str());
     std::remove(uncal_path.c_str());
     std::remove(v1_path.c_str());
-}
-
-// ---- ConformalPredictor wrapper over a shipped calibration ----
-
-TEST(ConformalPredictor, WrapperOverShippedCalibrationMatchesDirectFit)
-{
-    const size_t dim = 6;
-    auto [train_x, train_y] = syntheticDataset(600, dim, 93);
-    auto [cal_x, cal_y] = syntheticDataset(200, dim, 94);
-    TrainConfig config;
-    config.epochs = 5;
-    config.threads = 2;
-    TrainedModel model = trainMlp(train_x, train_y, dim, config);
-    TrainedModel copy = model;
-
-    const ConformalPredictor direct(std::move(model), cal_x, cal_y, dim);
-    const ConformalPredictor shipped(std::move(copy),
-                                     direct.calibration());
-    EXPECT_EQ(shipped.calibrationSize(), direct.calibrationSize());
-    for (size_t i = 0; i < 10; ++i) {
-        const auto a = direct.predictInterval(cal_x.data() + i * dim, 0.1);
-        const auto b =
-            shipped.predictInterval(cal_x.data() + i * dim, 0.1);
-        EXPECT_EQ(a.point, b.point);
-        EXPECT_EQ(a.lo, b.lo);
-        EXPECT_EQ(a.hi, b.hi);
-    }
 }
 
 } // anonymous namespace

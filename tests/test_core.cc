@@ -12,6 +12,7 @@
 #include "common/serialize.hh"
 #include "core/concorde.hh"
 #include "core/dataset.hh"
+#include "core/model_artifact.hh"
 
 namespace concorde
 {
@@ -137,32 +138,20 @@ TEST(Dataset, SaveLoadSaveIsByteIdentical)
     std::remove(path_b.c_str());
 }
 
-TEST(Dataset, LegacyRawStructFormatStillLoads)
+TEST(Dataset, PreV2FileIsCorrupt)
 {
-    // Pre-v2 cache files (committed bench-artifacts) carry raw
-    // SampleMeta bytes behind the old magic; the loader must keep
-    // accepting them.
-    const std::string path = "/tmp/concorde_test_dataset_legacy.bin";
-    const Dataset data = buildDataset(smallConfig(4, 17));
+    // A file behind the retired pre-v2 magic fails the shard validity
+    // check (so repairDatasetDir regenerates it), and a direct load
+    // rejects it.
+    const std::string path = "/tmp/concorde_test_dataset_prev2.bin";
     {
         BinaryWriter out(path);
-        out.put<uint64_t>(0xC04C08DEULL);   // legacy magic
-        out.put<uint64_t>(data.dim);
-        out.putVector(data.features);
-        out.putVector(data.labels);
-        out.putVector(data.meta);           // raw struct bytes
+        out.put<uint64_t>(0xC04C08DEULL);   // the retired pre-v2 magic
+        out.put<uint64_t>(0);
     }
-    const Dataset loaded = Dataset::load(path);
-    EXPECT_EQ(loaded.dim, data.dim);
-    EXPECT_EQ(loaded.features, data.features);
-    EXPECT_EQ(loaded.labels, data.labels);
-    ASSERT_EQ(loaded.meta.size(), data.meta.size());
-    for (size_t i = 0; i < data.meta.size(); ++i) {
-        EXPECT_TRUE(loaded.meta[i].params == data.meta[i].params);
-        EXPECT_EQ(loaded.meta[i].region.startChunk,
-                  data.meta[i].region.startChunk);
-        EXPECT_EQ(loaded.meta[i].cpi, data.meta[i].cpi);
-    }
+    EXPECT_FALSE(datasetShardValid(path));
+    EXPECT_EXIT(Dataset::load(path), ::testing::ExitedWithCode(1),
+                "not a Concorde dataset");
     std::remove(path.c_str());
 }
 
@@ -250,10 +239,12 @@ TEST(Predictor, SaveLoadPreservesPredictions)
     tc.threads = 4;
     TrainedModel model =
         trainMlp(data.features, data.labels, data.dim, tc);
-    ConcordePredictor predictor(std::move(model), FeatureConfig{});
+    ModelArtifact artifact;
+    artifact.model = std::move(model);
+    const ConcordePredictor predictor = artifact.predictor();
     const std::string path = "/tmp/concorde_test_predictor.bin";
-    predictor.save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
+    artifact.save(path);
+    const ConcordePredictor loaded = ModelArtifact::load(path).predictor();
     const RegionSpec spec = data.meta[1].region;
     EXPECT_EQ(predictor.predictCpi(spec, data.meta[1].params),
               loaded.predictCpi(spec, data.meta[1].params));

@@ -3,7 +3,8 @@
  * Golden-reference tests (ctest label: golden): the committed corpus in
  * tests/golden/ pins the end-to-end pipeline's features and CPIs, and
  * every executor -- scalar region loop, sharded ThreadPool pipeline,
- * and the service-backed endpoint -- must reproduce it. The scalar
+ * and the serve layer answering each region on the Bulk class -- must
+ * reproduce it. The scalar
  * executor is compared against the committed files with a tight
  * tolerance (to absorb libm round-off across toolchains); the other
  * executors are compared against the scalar one bitwise.
@@ -17,7 +18,6 @@
 #include <cmath>
 
 #include "golden_harness.hh"
-#include "serve/prediction_service.hh"
 
 using namespace concorde;
 using golden::GoldenCase;
@@ -130,7 +130,7 @@ TEST(GoldenCorpus, ShardedPipelineBitwiseIdenticalToScalar)
     }
 }
 
-TEST(GoldenCorpus, ServiceEndpointBitwiseIdenticalToScalar)
+TEST(GoldenCorpus, ServedRegionsBitwiseIdenticalToScalar)
 {
     for (const GoldenCase &c : golden::corpus()) {
         SCOPED_TRACE(c.name);
@@ -146,13 +146,14 @@ TEST(GoldenCorpus, ServiceEndpointBitwiseIdenticalToScalar)
         sc.poolThreads = 2;
         serve::PredictionService service(sc);
         service.registry().add(c.name, golden::predictorFor(c));
-        const auto served =
-            service.predictSpan(c.name, c.span, c.regionChunks, c.params);
+        const auto served = golden::serveSpan(service, c.name, c.span,
+                                              c.regionChunks, c.params);
 
         ASSERT_EQ(served.regionCpi.size(), reference.regionCpi.size());
         for (size_t i = 0; i < reference.regionCpi.size(); ++i)
             EXPECT_EQ(served.regionCpi[i], reference.regionCpi[i])
                 << "region " << i;
         EXPECT_EQ(served.programCpi, reference.programCpi);
+        EXPECT_EQ(served.instructions, reference.instructions);
     }
 }

@@ -8,6 +8,8 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -17,9 +19,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "core/artifacts.hh"
 #include "core/dataset.hh"
 #include "core/model_artifact.hh"
+#include "pipeline/analysis_pipeline.hh"
 #include "serve/prediction_service.hh"
 
 namespace concorde
@@ -297,46 +301,124 @@ TEST(ModelArtifact, SaveLoadRoundTripsEverything)
     const TrainRun run = trainMlpResumable(data.features, data.labels,
                                            data.dim, tc);
 
-    ModelArtifact artifact;
-    artifact.features = FeatureConfig{};
-    artifact.model = run.model;
-    artifact.provenance.datasetManifestHash = 0xDEADBEEFCAFEF00DULL;
-    artifact.provenance.datasetPath = "/data/train";
-    artifact.provenance.gitDescribe = buildGitDescribe();
-    artifact.provenance.trainConfig = tc;
-    artifact.provenance.trainedEpochs = run.epochsCompleted();
-    artifact.provenance.heldOutRelErr = run.history.back().valRelErr;
+    ModelArtifact trained;
+    trained.features = FeatureConfig{};
+    trained.model = run.model;
+    trained.provenance.datasetManifestHash = 0xDEADBEEFCAFEF00DULL;
+    trained.provenance.datasetPath = "/data/train";
+    trained.provenance.gitDescribe = buildGitDescribe();
+    trained.provenance.trainConfig = tc;
+    trained.provenance.trainedEpochs = run.epochsCompleted();
+    trained.provenance.heldOutRelErr = run.history.back().valRelErr;
+
+    // A non-default FeatureConfig must come back exactly: a
+    // default-config provider would have the wrong dimensionality.
+    ModelArtifact custom;
+    custom.features.windowK = 200;
+    custom.features.numPercentiles = 9;
+    custom.features.robSweep = {2, 8, 32, 128};
+    custom.features.latencyRobSizes = {4, 64};
+    custom.model = artifacts::untrainedModel(custom.features, 71);
 
     const std::string path_a = "/tmp/concorde_lifecycle_artifact_a.bin";
     const std::string path_b = "/tmp/concorde_lifecycle_artifact_b.bin";
-    artifact.save(path_a);
-    const ModelArtifact loaded = ModelArtifact::load(path_a);
+    for (const ModelArtifact *artifact : {&trained, &custom}) {
+        SCOPED_TRACE(artifact == &trained ? "trained" : "custom features");
+        artifact->save(path_a);
+        const ModelArtifact loaded = ModelArtifact::load(path_a);
 
-    EXPECT_EQ(loaded.provenance.datasetManifestHash,
-              artifact.provenance.datasetManifestHash);
-    EXPECT_EQ(loaded.provenance.datasetPath,
-              artifact.provenance.datasetPath);
-    EXPECT_EQ(loaded.provenance.gitDescribe,
-              artifact.provenance.gitDescribe);
-    EXPECT_EQ(loaded.provenance.trainedEpochs,
-              artifact.provenance.trainedEpochs);
-    EXPECT_EQ(loaded.provenance.heldOutRelErr,
-              artifact.provenance.heldOutRelErr);
-    EXPECT_EQ(loaded.provenance.trainConfig.epochs, tc.epochs);
-    EXPECT_EQ(loaded.provenance.trainConfig.seed, tc.seed);
-    EXPECT_EQ(loaded.provenance.trainConfig.valFraction, tc.valFraction);
+        const ArtifactProvenance &want = artifact->provenance;
+        EXPECT_EQ(loaded.provenance.datasetManifestHash,
+                  want.datasetManifestHash);
+        EXPECT_EQ(loaded.provenance.datasetPath, want.datasetPath);
+        EXPECT_EQ(loaded.provenance.gitDescribe, want.gitDescribe);
+        EXPECT_EQ(loaded.provenance.trainedEpochs, want.trainedEpochs);
+        EXPECT_EQ(loaded.provenance.heldOutRelErr, want.heldOutRelErr);
+        EXPECT_EQ(loaded.provenance.trainConfig.epochs,
+                  want.trainConfig.epochs);
+        EXPECT_EQ(loaded.provenance.trainConfig.seed, want.trainConfig.seed);
+        EXPECT_EQ(loaded.provenance.trainConfig.valFraction,
+                  want.trainConfig.valFraction);
 
-    // Predictions from the loaded artifact are the exact same bits.
-    for (size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(loaded.model.predict(data.row(i)),
-                  artifact.model.predict(data.row(i)));
+        EXPECT_EQ(loaded.features.windowK, artifact->features.windowK);
+        EXPECT_EQ(loaded.features.numPercentiles,
+                  artifact->features.numPercentiles);
+        EXPECT_EQ(loaded.features.robSweep, artifact->features.robSweep);
+        EXPECT_EQ(loaded.features.latencyRobSizes,
+                  artifact->features.latencyRobSizes);
+        EXPECT_EQ(loaded.predictor().layout().dim(),
+                  artifact->predictor().layout().dim());
+
+        // Predictions through the restored feature configuration are the
+        // exact same bits.
+        const RegionSpec spec{2, 0, 0, 1};
+        const UarchParams n1 = UarchParams::armN1();
+        EXPECT_EQ(loaded.predictor().predictCpi(spec, n1),
+                  artifact->predictor().predictCpi(spec, n1));
+
+        // save -> load -> save is byte-identical.
+        loaded.save(path_b);
+        EXPECT_EQ(fileBytes(path_a), fileBytes(path_b));
     }
-
-    // save -> load -> save is byte-identical.
-    loaded.save(path_b);
-    EXPECT_EQ(fileBytes(path_a), fileBytes(path_b));
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
+}
+
+TEST(ModelArtifact, ConcurrentWritersOfOnePathNeverClobber)
+{
+    // Two processes publish different artifacts to one path, over and
+    // over. Each must stage under its own name: with a shared staging
+    // name one writer truncates the other's half-written file, so a
+    // mixed file gets published or the loser's rename finds nothing.
+    const std::string path = "/tmp/concorde_lifecycle_two_writers_"
+        + std::to_string(::getpid()) + ".bin";
+    std::vector<ModelArtifact> versions(2);
+    std::vector<std::string> bytes(2);
+    for (size_t v = 0; v < versions.size(); ++v) {
+        versions[v].model =
+            artifacts::untrainedModel(versions[v].features, 200 + v);
+        versions[v].save(path);
+        bytes[v] = fileBytes(path);
+    }
+    ASSERT_NE(bytes[0], bytes[1]);
+
+    // Children block on the pipe until both exist, then race.
+    int start[2];
+    ASSERT_EQ(::pipe(start), 0);
+    std::fflush(nullptr);
+    std::vector<pid_t> writers;
+    for (size_t v = 0; v < versions.size(); ++v) {
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(start[1]);
+            char go;
+            (void)::read(start[0], &go, 1);
+            for (int round = 0; round < 100; ++round) {
+                versions[v].save(path);
+                std::ifstream in(path, std::ios::binary);
+                std::ostringstream published;
+                published << in.rdbuf();
+                if (published.str() != bytes[0]
+                    && published.str() != bytes[1])
+                    ::_exit(3);
+            }
+            ::_exit(0);
+        }
+        writers.push_back(pid);
+    }
+    ::close(start[0]);
+    ::close(start[1]);
+    for (const pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "writer " << pid << " status " << status;
+    }
+    const std::string final_bytes = fileBytes(path);
+    EXPECT_TRUE(final_bytes == bytes[0] || final_bytes == bytes[1]);
+    EXPECT_EQ(reclaimStagingDebris(path), 0u) << "staging debris left";
+    std::remove(path.c_str());
 }
 
 TEST(ModelArtifact, PipelineAndServiceConsumeArtifacts)
@@ -386,7 +468,7 @@ TEST(ModelArtifact, PipelineAndServiceConsumeArtifacts)
     region.programId = span.programId;
     region.startChunk = 16;
     region.numChunks = 2;
-    EXPECT_EQ(service.predict("prod", region, params),
+    EXPECT_EQ(service.predict({"prod", region, params}).cpi,
               bare.predictCpi(region, params));
     service.shutdown();
     std::remove(path.c_str());
@@ -463,7 +545,7 @@ TEST(RegistryHotSwap, EveryPredictionAttributableToExactlyOneVersion)
                 const size_t r = i % regions.size();
                 const size_t p = (i / regions.size()) % points.size();
                 const double got =
-                    service.predict("prod", regions[r], points[p]);
+                    service.predict({"prod", regions[r], points[p]}).cpi;
                 const size_t cell = r * points.size() + p;
                 bool matches_some_version = false;
                 for (size_t v = 0; v < versions.size(); ++v) {
@@ -500,8 +582,9 @@ TEST(RegistryHotSwap, EveryPredictionAttributableToExactlyOneVersion)
         service.registry().addFromArtifactFile("prod", paths[v]);
         for (size_t r = 0; r < regions.size(); ++r) {
             for (size_t p = 0; p < points.size(); ++p) {
-                EXPECT_EQ(service.predict("prod", regions[r], points[p]),
-                          expected[v][r * points.size() + p])
+                EXPECT_EQ(
+                    service.predict({"prod", regions[r], points[p]}).cpi,
+                    expected[v][r * points.size() + p])
                     << "version " << v;
             }
         }

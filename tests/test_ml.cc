@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/rng.hh"
-#include "ml/conformal.hh"
+#include "ml/calibration.hh"
 #include "ml/mlp.hh"
 #include "ml/trainer.hh"
 
@@ -266,6 +266,15 @@ TEST(TrainedModel, PredictBatchMatchesSingle)
         EXPECT_EQ(batch[i], model.predict(xs.data() + i * dim));
 }
 
+/** Split-conformal calibration of `model` on a held-out set. */
+ConformalCalibration
+calibrate(const TrainedModel &model, const std::vector<float> &xs,
+          const std::vector<float> &ys, size_t dim)
+{
+    return fitConformalCalibration(model.predictBatch(xs, dim), ys, xs,
+                                   dim);
+}
+
 TEST(Conformal, IntervalsContainPointAndAreOrdered)
 {
     const size_t dim = 10;
@@ -274,15 +283,15 @@ TEST(Conformal, IntervalsContainPointAndAreOrdered)
     TrainConfig config;
     config.epochs = 20;
     config.threads = 4;
-    TrainedModel model = trainMlp(train_x, train_y, dim, config);
-    const ConformalPredictor conformal(std::move(model), cal_x, cal_y,
-                                       dim);
+    const TrainedModel model = trainMlp(train_x, train_y, dim, config);
+    const ConformalCalibration cal = calibrate(model, cal_x, cal_y, dim);
     for (size_t i = 0; i < 20; ++i) {
-        const auto interval =
-            conformal.predictInterval(cal_x.data() + i * dim, 0.1);
-        EXPECT_LE(interval.lo, interval.point);
-        EXPECT_GE(interval.hi, interval.point);
-        EXPECT_GE(interval.lo, 0.0f);
+        const double point = model.predict(cal_x.data() + i * dim);
+        double lo = 0.0, hi = 0.0;
+        cal.intervalAround(point, 0.1, lo, hi);
+        EXPECT_LE(lo, point);
+        EXPECT_GE(hi, point);
+        EXPECT_GE(lo, 0.0);
     }
 }
 
@@ -294,13 +303,12 @@ TEST(Conformal, QuantileMonotoneInConfidence)
     TrainConfig config;
     config.epochs = 15;
     config.threads = 4;
-    TrainedModel model = trainMlp(train_x, train_y, dim, config);
-    const ConformalPredictor conformal(std::move(model), cal_x, cal_y,
-                                       dim);
+    const TrainedModel model = trainMlp(train_x, train_y, dim, config);
+    const ConformalCalibration cal = calibrate(model, cal_x, cal_y, dim);
     // Higher confidence (smaller alpha) => wider quantile.
-    EXPECT_LE(conformal.quantile(0.5), conformal.quantile(0.2));
-    EXPECT_LE(conformal.quantile(0.2), conformal.quantile(0.05));
-    EXPECT_LE(conformal.quantile(0.05), conformal.quantile(0.01));
+    EXPECT_LE(cal.quantile(0.5), cal.quantile(0.2));
+    EXPECT_LE(cal.quantile(0.2), cal.quantile(0.05));
+    EXPECT_LE(cal.quantile(0.05), cal.quantile(0.01));
 }
 
 TEST(Conformal, EmpiricalCoverageMatchesTarget)
@@ -312,12 +320,12 @@ TEST(Conformal, EmpiricalCoverageMatchesTarget)
     TrainConfig config;
     config.epochs = 25;
     config.threads = 4;
-    TrainedModel model = trainMlp(train_x, train_y, dim, config);
-    const ConformalPredictor conformal(std::move(model), cal_x, cal_y,
-                                       dim);
+    const TrainedModel model = trainMlp(train_x, train_y, dim, config);
+    const ConformalCalibration cal = calibrate(model, cal_x, cal_y, dim);
+    const std::vector<float> test_preds = model.predictBatch(test_x, dim);
     for (double alpha : {0.3, 0.1}) {
         const double coverage =
-            conformal.empiricalCoverage(test_x, test_y, dim, alpha);
+            empiricalCoverage(cal, test_preds, test_y, alpha);
         EXPECT_GE(coverage, 1.0 - alpha - 0.05)
             << "undercoverage at alpha " << alpha;
         EXPECT_LE(coverage, 1.0)
@@ -336,9 +344,8 @@ TEST(Conformal, AccurateModelGivesTightIntervals)
     config.epochs = 500;        // one step per epoch on this tiny set
     config.learningRate = 1e-2;
     config.threads = 1;
-    TrainedModel model = trainMlp(xs, ys, dim, config);
-    const ConformalPredictor conformal(std::move(model), xs, ys, dim);
-    EXPECT_LT(conformal.quantile(0.2), 0.2);
+    const TrainedModel model = trainMlp(xs, ys, dim, config);
+    EXPECT_LT(calibrate(model, xs, ys, dim).quantile(0.2), 0.2);
 }
 
 } // anonymous namespace

@@ -322,7 +322,8 @@ TEST(NetServe, SocketPredictionsAreBitwiseIdenticalToInProcess)
         points.push_back(UarchParams::sampleRandom(rng));
         // In-process reference answer (also primes the cache, which is
         // exactly what the warm path does in production).
-        expected.push_back(fx.service.predict("tiny", region, points[i]));
+        expected.push_back(
+            fx.service.predict(makeRequest("tiny", region, points[i])).cpi);
     }
 
     std::vector<PredictRequest> requests;

@@ -3,7 +3,7 @@
  * Tests for the end-to-end pipeline layer: span sharding, the
  * boundary-stitching invariant of AnalyzerCarryState and the memory
  * state machine, bitwise identity across execution modes (scalar,
- * sharded, service-backed), and the FeatureProvider thread-safety
+ * sharded, and regions served on the Bulk class), and the FeatureProvider thread-safety
  * contract hammered from the ThreadPool.
  */
 
@@ -370,7 +370,7 @@ TEST(PipelineModes, CarrySingleShardMatchesIndependent)
                            carry.run(span, params));
 }
 
-TEST(PipelineModes, ServiceEndpointMatchesScalarPipeline)
+TEST(PipelineModes, ServedRegionsMatchScalarPipeline)
 {
     const FeatureConfig cfg = tinyConfig();
     const ConcordePredictor predictor(
@@ -394,7 +394,7 @@ TEST(PipelineModes, ServiceEndpointMatchesScalarPipeline)
         "m", ConcordePredictor(artifacts::untrainedModel(cfg, 11, {16}),
                                cfg));
     const PipelineResult served =
-        service.predictSpan("m", span, config.regionChunks, params);
+        golden::serveSpan(service, "m", span, config.regionChunks, params);
     expectResultsIdentical(reference, served);
 }
 

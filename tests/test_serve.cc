@@ -4,10 +4,12 @@
  * accounting and eviction, ModelRegistry identity rules, BatchingQueue
  * flush/admission/timeout behavior against a mock handler, and the
  * composed PredictionService matching the scalar predictCpi path
- * through both the typed API and the legacy shims.
+ * through the typed API, plus warm-set persistence and its rejection of
+ * forged or truncated files.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -403,12 +405,12 @@ TEST(PredictionService, MatchesScalarPredictorAndCountsCacheTraffic)
     for (int i = 0; i < 40; ++i)
         points.push_back(UarchParams::sampleRandom(rng));
 
-    std::vector<std::future<double>> futures;
+    std::vector<std::future<PredictResponse>> futures;
     for (const auto &point : points)
-        futures.push_back(service.predictAsync("tiny", region, point));
+        futures.push_back(service.submit({"tiny", region, point}));
     for (size_t i = 0; i < points.size(); ++i) {
         const double scalar = reference.predictCpi(provider, points[i]);
-        EXPECT_NEAR(futures[i].get(), scalar,
+        EXPECT_NEAR(futures[i].get().cpi, scalar,
                     1e-6 * std::max(1.0, std::abs(scalar))) << "point " << i;
     }
 
@@ -418,7 +420,8 @@ TEST(PredictionService, MatchesScalarPredictorAndCountsCacheTraffic)
     // Replay: every request must now be a cache hit, with the exact
     // same double as the first pass.
     for (size_t i = 0; i < points.size(); ++i) {
-        const double replay = service.predict("tiny", region, points[i]);
+        const double replay =
+            service.predict({"tiny", region, points[i]}).cpi;
         const double scalar = reference.predictCpi(provider, points[i]);
         EXPECT_NEAR(replay, scalar,
                     1e-6 * std::max(1.0, std::abs(scalar)));
@@ -446,19 +449,10 @@ TEST(PredictionService, CacheHitIsBitwiseIdentical)
     service.registry().add("tiny", tinyPredictor(21));
     const RegionSpec region{1, 0, 0, 1};
     const UarchParams n1 = UarchParams::armN1();
-    const double first = service.predict("tiny", region, n1);
-    const double second = service.predict("tiny", region, n1);
+    const double first = service.predict({"tiny", region, n1}).cpi;
+    const double second = service.predict({"tiny", region, n1}).cpi;
     EXPECT_EQ(first, second);
     EXPECT_GE(service.stats().cache.hits, 1u);
-}
-
-TEST(PredictionService, UnknownModelThrowsFromLegacyShim)
-{
-    PredictionService service;
-    const RegionSpec region{0, 0, 0, 1};
-    EXPECT_THROW(service.predictAsync("missing", region,
-                                      UarchParams::armN1()),
-                 std::invalid_argument);
 }
 
 TEST(PredictionService, TypedApiReturnsStatusInsteadOfThrowing)
@@ -528,7 +522,7 @@ TEST(PredictionService, WarmRegionsPrimesCacheAndSavesWarmSet)
     // The warmed (region, point) pairs answer from the cache.
     const uint64_t misses = service.stats().cache.misses;
     for (const auto &region : regions)
-        (void)service.predict("tiny", region, points[0]);
+        (void)service.predict({"tiny", region, points[0]});
     EXPECT_EQ(service.stats().cache.misses, misses);
 
     // Warm-set persistence round-trips into a fresh service.
@@ -541,10 +535,43 @@ TEST(PredictionService, WarmRegionsPrimesCacheAndSavesWarmSet)
                   ServeStatus::OK);
         const uint64_t freshMisses = fresh.stats().cache.misses;
         for (const auto &region : regions)
-            (void)fresh.predict("tiny", region, points[0]);
+            (void)fresh.predict({"tiny", region, points[0]});
         EXPECT_EQ(fresh.stats().cache.misses, freshMisses);
     }
     std::remove(path.c_str());
+}
+
+TEST(PredictionService, WarmFromFileRejectsForgedCountAndTruncation)
+{
+    PredictionService service;
+    service.registry().add("tiny", tinyPredictor(25));
+    ASSERT_EQ(service.warmRegions("tiny", {{2, 0, 0, 1}, {2, 0, 8, 1}}),
+              ServeStatus::OK);
+    const std::string path = "test_warm_set_hostile.bin";
+    ASSERT_EQ(service.saveWarmSet(path), 2u);
+
+    // A valid header whose record count claims far more records than
+    // the file holds: rejected before anything is reserved.
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const uint64_t forged = uint64_t{1} << 60;
+        ASSERT_EQ(std::fseek(f, 6, SEEK_SET), 0);   // after magic+version
+        ASSERT_EQ(std::fwrite(&forged, sizeof(forged), 1, f), 1u);
+        std::fclose(f);
+    }
+    EXPECT_THROW(service.warmFromFile("tiny", path), std::runtime_error);
+
+    // A truncated file: mid-record, and shorter than the header.
+    ASSERT_EQ(service.saveWarmSet(path), 2u);
+    for (const off_t size : {off_t{14 + 20 + 7}, off_t{9}}) {
+        ASSERT_EQ(::truncate(path.c_str(), size), 0);
+        EXPECT_THROW(service.warmFromFile("tiny", path), std::runtime_error)
+            << "size " << size;
+    }
+    std::remove(path.c_str());
+    EXPECT_THROW(service.warmFromFile("tiny", path), std::runtime_error)
+        << "missing file";
 }
 
 TEST(PredictionService, ServesMultipleModelsAndRegions)
@@ -559,17 +586,17 @@ TEST(PredictionService, ServesMultipleModelsAndRegions)
     ConcordePredictor ref_a = tinyPredictor(31);
     ConcordePredictor ref_b = tinyPredictor(32);
 
-    std::vector<std::future<double>> futures;
+    std::vector<std::future<PredictResponse>> futures;
     std::vector<double> expected;
     for (int r = 0; r < 3; ++r) {
         const RegionSpec region{r, 0, 0, 1};
-        futures.push_back(service.predictAsync("a", region, n1));
+        futures.push_back(service.submit({"a", region, n1}));
         expected.push_back(ref_a.predictCpi(region, n1));
-        futures.push_back(service.predictAsync("b", region, n1));
+        futures.push_back(service.submit({"b", region, n1}));
         expected.push_back(ref_b.predictCpi(region, n1));
     }
     for (size_t i = 0; i < futures.size(); ++i) {
-        EXPECT_NEAR(futures[i].get(), expected[i],
+        EXPECT_NEAR(futures[i].get().cpi, expected[i],
                     1e-6 * std::max(1.0, std::abs(expected[i])));
     }
 }

@@ -2,7 +2,8 @@
 # Offline CI equivalent: mirrors .github/workflows/ci.yml for machines
 # without GitHub Actions.
 #
-#   stage 1  configure (warnings fatal) + build everything + full ctest
+#   stage 1  configure (warnings fatal) + build everything (including the
+#            bench/e2e driver, build only) + full ctest
 #   stage 2  ASan+UBSan build + full ctest        (SKIP_SANITIZE=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
 #
@@ -18,6 +19,10 @@ echo "== stage 1: build (${BUILD_TYPE}, -Werror) + tests =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE="$BUILD_TYPE" -DCONCORDE_WERROR=ON
 cmake --build build -j "$JOBS"
 cmake --build build --target bench -j "$JOBS"
+# Build-only: the end-to-end benchmark driver is its own CMake project
+# over src/; a library change that breaks it fails here, not later.
+cmake -S bench/e2e -B build-e2e
+cmake --build build-e2e -j "$JOBS"
 # Golden tests run in their own labeled stage below, not twice.
 ctest --test-dir build -LE golden --output-on-failure -j "$JOBS"
 

@@ -12,7 +12,7 @@
  *                                 inflight=0 listen=<port>
  *                                 param=value ...]
  *   concorde_cli pipeline <program> [chunks=64 region=8 warmup=8 start=16
- *                                    threads=0 mode=sharded|scalar|service
+ *                                    threads=0 mode=sharded|scalar
  *                                    state=carry|independent
  *                                    param=value ...]
  *   concorde_cli dataset out=<dir> [samples=512 shard=128 chunks=8
@@ -134,8 +134,8 @@ usage()
         "feedback=<file>\n"
         "                   param=value ...]\n"
         "  pipeline <program> [chunks= region= warmup= start= threads=\n"
-        "                      mode=sharded|scalar|service "
-        "state=carry|independent param=value ...]\n"
+        "                      mode=sharded|scalar state=carry|independent "
+        "param=value ...]\n"
         "  dataset out=<dir> [samples= shard= chunks= seed= threads= "
         "program=<code>\n"
         "                      max_shards= workers= respawns=]\n"
@@ -588,8 +588,7 @@ runPipeline(int pid, const char *code, int argc, char **argv)
         {"threads", 0},
     };
     std::string mode = "sharded";
-    std::string state;      // default: carry (independent for service)
-    bool warmup_set = false;
+    std::string state = "carry";
     UarchParams params = UarchParams::armN1();
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -601,10 +600,9 @@ runPipeline(int pid, const char *code, int argc, char **argv)
                 return usage();
             const std::string value = arg.substr(eq + 1);
             if (key == "mode") {
-                if (value != "scalar" && value != "sharded"
-                    && value != "service") {
-                    std::fprintf(stderr, "bad mode '%s' (scalar|sharded|"
-                                 "service)\n", value.c_str());
+                if (value != "scalar" && value != "sharded") {
+                    std::fprintf(stderr, "bad mode '%s' (scalar|sharded)\n",
+                                 value.c_str());
                     return 2;
                 }
                 mode = value;
@@ -627,8 +625,6 @@ runPipeline(int pid, const char *code, int argc, char **argv)
                 return 2;
             }
             opt[key] = value;
-            if (key == "warmup")
-                warmup_set = true;
             continue;
         }
         if (!applyOverride(params, arg))
@@ -636,22 +632,6 @@ runPipeline(int pid, const char *code, int argc, char **argv)
     }
     if (opt["chunks"] < 1 || opt["region"] < 1) {
         std::fprintf(stderr, "chunks and region must be positive\n");
-        return 2;
-    }
-    // The service endpoint serves independent regions with the default
-    // warmup convention; only reject options the user explicitly set.
-    if (state.empty())
-        state = mode == "service" ? "independent" : "carry";
-    if (mode == "service" && state == "carry") {
-        std::fprintf(stderr, "the service endpoint serves independent "
-                     "regions; use state=independent\n");
-        return 2;
-    }
-    if (mode == "service" && warmup_set
-        && opt["warmup"] != kDefaultWarmupChunks) {
-        std::fprintf(stderr, "the service endpoint always uses the "
-                     "default warmup (%u chunks); warmup= applies to "
-                     "scalar/sharded modes\n", kDefaultWarmupChunks);
         return 2;
     }
 
@@ -683,19 +663,8 @@ runPipeline(int pid, const char *code, int argc, char **argv)
     // process through the global store (Carry analyses are never cached).
     config.analysisStore = &AnalysisStore::global();
 
-    pipeline::PipelineResult result;
-    if (mode == "service") {
-        serve::ServeConfig sc;
-        sc.poolThreads = config.threads == 0
-            ? defaultThreads() : config.threads;
-        serve::PredictionService service(sc);
-        service.registry().add("default", std::move(predictor));
-        result = service.predictSpan("default", span, config.regionChunks,
-                                     params);
-    } else {
-        pipeline::AnalysisPipeline pipe(predictor, config);
-        result = pipe.run(span, params);
-    }
+    pipeline::AnalysisPipeline pipe(predictor, config);
+    const pipeline::PipelineResult result = pipe.run(span, params);
 
     std::printf("  program CPI %.4f over %zu regions (%llu "
                 "instructions)\n", result.programCpi,
@@ -711,17 +680,10 @@ runPipeline(int pid, const char *code, int argc, char **argv)
     std::printf("  region CPI min %.4f / max %.4f\n", lo, hi);
     const double rate = static_cast<double>(result.instructions) / 1e6
         / std::max(result.totalSeconds, 1e-9);
-    if (mode == "service") {
-        // The service path has no per-phase breakdown (work happens
-        // inside batched dispatches).
-        std::printf("  %.3fs total -> %.2f Minstr/s\n",
-                    result.totalSeconds, rate);
-    } else {
-        std::printf("  %.3fs total (analyze %.3fs, features %.3fs, "
-                    "inference %.3fs) -> %.2f Minstr/s\n",
-                    result.totalSeconds, result.analyzeSeconds,
-                    result.featureSeconds, result.inferSeconds, rate);
-    }
+    std::printf("  %.3fs total (analyze %.3fs, features %.3fs, "
+                "inference %.3fs) -> %.2f Minstr/s\n",
+                result.totalSeconds, result.analyzeSeconds,
+                result.featureSeconds, result.inferSeconds, rate);
     return 0;
 }
 
