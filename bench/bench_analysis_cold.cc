@@ -81,8 +81,8 @@ benchRegions()
         RegionSpec warm = r.spec;
         warm.startChunk = r.spec.startChunk - kDefaultWarmupChunks;
         warm.numChunks = kDefaultWarmupChunks;
-        r.warmupCols = model.generateRegionColumns(warm);
-        r.regionCols = model.generateRegionColumns(r.spec);
+        r.warmupCols = model.generateRegion(warm);
+        r.regionCols = model.generateRegion(r.spec);
         r.warmupRows = r.warmupCols.toInstructions();
         r.regionRows = r.regionCols.toInstructions();
         regions.push_back(std::move(r));

@@ -7,17 +7,18 @@
  *
  *   reference  simulateTraceReference: fresh engine per call (every
  *              container allocated from scratch), per-call warmup+region
- *              rebase into a combined trace
+ *              rebase into a combined trace, over row copies of the
+ *              region's columns made once off the clock
  *   fast       simulateRegion over one reused SimScratch: allocation-free
  *              steady state, cached combined trace + per-branch-config
  *              mispredict flags on the RegionAnalysis
  *
- * Region analyses (branch runs, combined traces, flag layouts) are
- * prewarmed off the clock -- they are computed once per region in
- * production and shared by every design point; only the simulation calls
- * are timed. Timing is best-of-kReps with a fresh SimScratch per attempt
- * (scratch reuse happens across the calls WITHIN an attempt, which is the
- * labelRange shape).
+ * Region analyses (branch runs, combined traces, flag layouts, the
+ * reference's row copies) are prewarmed off the clock -- they are
+ * computed once per region in production and shared by every design
+ * point; only the simulation calls are timed. Timing is best-of-kReps
+ * with a fresh SimScratch per attempt (scratch reuse happens across the
+ * calls WITHIN an attempt, which is the labelRange shape).
  *
  * Gates (exit 1 on failure; margins are 1-core-VM safe):
  *   - fast results bitwise-identical to the reference engine on every
@@ -99,12 +100,19 @@ identical(const SimResult &a, const SimResult &b)
         && a.windowCommitCycles == b.windowCommitCycles;
 }
 
+/** Row copies of one region's traces, the reference engine's input. */
+struct RegionRows
+{
+    std::vector<Instruction> warmup;
+    std::vector<Instruction> region;
+};
+
 SimResult
-referenceLabel(const UarchParams &params, RegionAnalysis &analysis)
+referenceLabel(const UarchParams &params, RegionAnalysis &analysis,
+               const RegionRows &rows)
 {
     const auto &branch_info = analysis.branches(params.branch);
-    return simulateTraceReference(params, analysis.warmupInstrs(),
-                                  analysis.instrs(),
+    return simulateTraceReference(params, rows.warmup, rows.region,
                                   branch_info.mispredict);
 }
 
@@ -121,14 +129,19 @@ main()
 
     // Prewarm every per-region memo both variants read (branch runs,
     // combined trace, flag layouts): computed once per region in
-    // production, shared by all design points, off the clock here.
+    // production, shared by all design points, off the clock here. The
+    // reference's row copies are built here too.
     uint64_t sim_instrs = 0;
+    std::vector<RegionRows> rows;
+    rows.reserve(analyses.size());
     for (RegionAnalysis &analysis : analyses) {
         for (const UarchParams &p : points) {
             (void)analysis.branches(p.branch);
             (void)analysis.combinedFlags(p.branch);
         }
-        (void)analysis.combinedInstrs();
+        (void)analysis.combinedColumns();
+        rows.push_back({analysis.warmupColumns().toInstructions(),
+                        analysis.regionColumns().toInstructions()});
         sim_instrs += static_cast<uint64_t>(analysis.warmupSize()
                                             + analysis.regionSize())
             * points.size();
@@ -140,9 +153,10 @@ main()
     size_t mismatches = 0;
     {
         SimScratch scratch;
-        for (RegionAnalysis &analysis : analyses) {
+        for (size_t r = 0; r < analyses.size(); ++r) {
+            RegionAnalysis &analysis = analyses[r];
             for (const UarchParams &p : points) {
-                const SimResult ref = referenceLabel(p, analysis);
+                const SimResult ref = referenceLabel(p, analysis, rows[r]);
                 const SimResult fast =
                     simulateRegion(p, analysis, 0, &scratch);
                 if (!identical(ref, fast))
@@ -155,9 +169,9 @@ main()
     double fast_s = 1e30;
     for (int rep = 0; rep < kReps; ++rep) {
         Stopwatch ref_timer;
-        for (RegionAnalysis &analysis : analyses)
+        for (size_t r = 0; r < analyses.size(); ++r)
             for (const UarchParams &p : points)
-                (void)referenceLabel(p, analysis);
+                (void)referenceLabel(p, analyses[r], rows[r]);
         ref_s = std::min(ref_s, ref_timer.seconds());
 
         SimScratch scratch;     // fresh per attempt

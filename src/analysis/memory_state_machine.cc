@@ -8,14 +8,10 @@
 namespace concorde
 {
 
-namespace
-{
-
-/** Shared builder; is_load / line_of abstract the trace layout. */
-template <typename IsLoad, typename LineOf>
 LoadLineIndex
-buildIndex(size_t n, IsLoad is_load, LineOf line_of)
+LoadLineIndex::build(const TraceColumns &region)
 {
+    const size_t n = region.size();
     LoadLineIndex index;
     index.lineIdOf.assign(n, -1);
 
@@ -23,11 +19,10 @@ buildIndex(size_t n, IsLoad is_load, LineOf line_of)
     dense.reserve(n / 4);
     std::vector<uint32_t> counts;
     for (size_t i = 0; i < n; ++i) {
-        if (!is_load(i))
+        if (!region.isLoad(i))
             continue;
-        const uint64_t line = line_of(i);
         auto [it, inserted] = dense.try_emplace(
-            line, static_cast<uint32_t>(dense.size()));
+            region.dataLine(i), static_cast<uint32_t>(dense.size()));
         if (inserted)
             counts.push_back(0);
         index.lineIdOf[i] = static_cast<int32_t>(it->second);
@@ -47,24 +42,6 @@ buildIndex(size_t n, IsLoad is_load, LineOf line_of)
             index.loadList[cursor[lid]++] = static_cast<uint32_t>(i);
     }
     return index;
-}
-
-} // anonymous namespace
-
-LoadLineIndex
-LoadLineIndex::build(const std::vector<Instruction> &region)
-{
-    return buildIndex(
-        region.size(), [&](size_t i) { return region[i].isLoad(); },
-        [&](size_t i) { return region[i].dataLine(); });
-}
-
-LoadLineIndex
-LoadLineIndex::build(const TraceColumns &region)
-{
-    return buildIndex(
-        region.size(), [&](size_t i) { return region.isLoad(i); },
-        [&](size_t i) { return region.dataLine(i); });
 }
 
 MemoryStateMachine::MemoryStateMachine(const LoadLineIndex &index_in,

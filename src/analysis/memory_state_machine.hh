@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/instruction.hh"
 #include "trace/trace_columns.hh"
 
 namespace concorde
@@ -39,7 +38,6 @@ struct LoadLineIndex
     std::vector<uint32_t> lineStart;
     std::vector<uint32_t> loadList;
 
-    static LoadLineIndex build(const std::vector<Instruction> &region);
     static LoadLineIndex build(const TraceColumns &region);
 };
 
@@ -62,15 +60,9 @@ class MemoryStateMachine
     /**
      * Response (execution completion) cycle for instruction `idx` whose
      * request is issued at `req_cycle`. Only the instruction's load-ness
-     * matters; the bool overload serves columnar callers.
+     * matters.
      */
     uint64_t respCycle(uint64_t req_cycle, size_t idx, bool is_load);
-
-    uint64_t
-    respCycle(uint64_t req_cycle, size_t idx, const Instruction &instr)
-    {
-        return respCycle(req_cycle, idx, instr.isLoad());
-    }
 
     /**
      * Trace-order fast path for the analytical models, which visit every

@@ -109,7 +109,7 @@ RegionAnalysis::RegionAnalysis(const RegionSpec &spec, uint32_t warmup_chunks)
         // the region, so generate the region once and slice the shared
         // prefix instead of generating it twice (dependency indices are
         // chunk-relative, so the slices are bitwise-identical).
-        model.generateRegionColumns(spec, region, scratch);
+        model.generateRegion(spec, region, scratch);
         const uint32_t shared = std::min(warmup_chunks, spec.numChunks);
         warmup.reserve(static_cast<size_t>(warmup_chunks) * kChunkLen);
         warmup.appendSlice(region, 0,
@@ -125,26 +125,14 @@ RegionAnalysis::RegionAnalysis(const RegionSpec &spec, uint32_t warmup_chunks)
             RegionSpec warm = spec;
             warm.numChunks = warmup_chunks;
             warm.startChunk = spec.startChunk - warmup_chunks;
-            model.generateRegionColumns(warm, warmup, scratch);
+            model.generateRegion(warm, warmup, scratch);
         }
-        model.generateRegionColumns(spec, region, scratch);
+        model.generateRegion(spec, region, scratch);
     }
 
     loadLineIndex = LoadLineIndex::build(region);
     branchSeed = branchSeedFor(spec.programId, spec.traceId,
                                spec.startChunk);
-}
-
-RegionAnalysis::RegionAnalysis(const RegionSpec &spec,
-                               std::vector<Instruction> instrs)
-    : regionSpec(spec), region(TraceColumns::fromInstructions(instrs))
-{
-    loadLineIndex = LoadLineIndex::build(region);
-    branchSeed = branchSeedFor(spec.programId, spec.traceId,
-                               spec.startChunk);
-    // The caller already materialized the rows; keep them as the shim.
-    st->shim.region = std::move(instrs);
-    st->shim.regionReady.store(true, std::memory_order_release);
 }
 
 RegionAnalysis::RegionAnalysis(const RegionSpec &spec, TraceColumns cols)
@@ -155,69 +143,25 @@ RegionAnalysis::RegionAnalysis(const RegionSpec &spec, TraceColumns cols)
                                spec.startChunk);
 }
 
-const std::vector<Instruction> &
-RegionAnalysis::instrs() const
+const TraceColumns &
+RegionAnalysis::combinedColumns() const
 {
-    AosShim &shim = st->shim;
-    if (!shim.regionReady.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(shim.mtx);
-        if (!shim.regionReady.load(std::memory_order_relaxed)) {
-            shim.region = region.toInstructions();
-            shim.regionReady.store(true, std::memory_order_release);
+    CombinedTrace &combined = st->combined;
+    if (!combined.ready.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(combined.mtx);
+        if (!combined.ready.load(std::memory_order_relaxed)) {
+            combined.cols.assignConcat(warmup, region);
+            combined.ready.store(true, std::memory_order_release);
         }
     }
-    return shim.region;
-}
-
-const std::vector<Instruction> &
-RegionAnalysis::warmupInstrs() const
-{
-    AosShim &shim = st->shim;
-    if (!shim.warmReady.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(shim.mtx);
-        if (!shim.warmReady.load(std::memory_order_relaxed)) {
-            shim.warm = warmup.toInstructions();
-            shim.warmReady.store(true, std::memory_order_release);
-        }
-    }
-    return shim.warm;
-}
-
-const std::vector<Instruction> &
-RegionAnalysis::combinedInstrs() const
-{
-    AosShim &shim = st->shim;
-    if (!shim.combinedReady.load(std::memory_order_acquire)) {
-        // Materialize the AoS sides first: they take shim.mtx themselves.
-        const std::vector<Instruction> &warm = warmupInstrs();
-        const std::vector<Instruction> &rows = instrs();
-        std::lock_guard<std::mutex> lock(shim.mtx);
-        if (!shim.combinedReady.load(std::memory_order_relaxed)) {
-            std::vector<Instruction> all;
-            all.reserve(warm.size() + rows.size());
-            all.insert(all.end(), warm.begin(), warm.end());
-            const int32_t offset = static_cast<int32_t>(warm.size());
-            for (Instruction instr : rows) {
-                for (int d = 0; d < kMaxSrcDeps; ++d) {
-                    if (instr.srcDeps[d] >= 0)
-                        instr.srcDeps[d] += offset;
-                }
-                if (instr.memDep >= 0)
-                    instr.memDep += offset;
-                all.push_back(instr);
-            }
-            shim.combined = std::move(all);
-            shim.combinedReady.store(true, std::memory_order_release);
-        }
-    }
-    return shim.combined;
+    return combined.cols;
 }
 
 void
 RegionAnalysis::rebuildCombinedFlags(const BranchAnalysis &branch_info,
                                      std::vector<uint8_t> &flags) const
 {
-    const size_t total = combinedInstrs().size();
+    const size_t total = warmup.size() + region.size();
     flags.assign(total, 0);
     std::copy(branch_info.mispredict.begin(), branch_info.mispredict.end(),
               flags.begin()
@@ -231,10 +175,9 @@ RegionAnalysis::combinedFlags(const BranchConfig &config)
     auto &e = st->combinedFlagLayouts.entryFor(config.key());
     if (std::vector<uint8_t> *p = e.ready.load(std::memory_order_acquire))
         return *p;
-    // Build the inputs outside this entry's latch: both take their own
-    // locks (the branch entry's latch and shim.mtx respectively).
+    // Build the input outside this entry's latch: it takes the branch
+    // entry's own latch.
     const BranchAnalysis &branch_info = branches(config);
-    combinedInstrs();
     std::lock_guard<std::mutex> lock(e.buildMtx);
     if (std::vector<uint8_t> *p = e.ready.load(std::memory_order_relaxed))
         return *p;

@@ -6,9 +6,11 @@
  * access latencies from an in-order instruction-cache simulation, and
  * branch misprediction flags from branch-predictor simulation.
  *
- * The region is held columnar (TraceColumns); all analyses run as fused
- * sweeps over the columns, and analyzeAll() fills every still-missing
- * side in ONE pass over warmup + region. All analyses are memoized per
+ * The region is held columnar (TraceColumns, the one trace layout); all
+ * analyses run as fused sweeps over the columns, and analyzeAll() fills
+ * every still-missing side in ONE pass over warmup + region. The
+ * row-based per-side analyses of AnalyzerCarryState are kept only as the
+ * bitwise reference oracle for those sweeps. All analyses are memoized per
  * configuration behind per-key once-init latches, so concurrent
  * consumers of *different* configurations on a shared snapshot build in
  * parallel (instances may be shared through the AnalysisStore);
@@ -124,43 +126,33 @@ class RegionAnalysis
                             uint32_t warmup_chunks = kDefaultWarmupChunks);
 
     /**
-     * Wrap pre-generated region instructions with an empty warmup. Used
-     * by the stitched pipeline, which injects carried-state analyses via
+     * Wrap a pre-generated region with an empty warmup. Used by the
+     * stitched pipeline, which injects carried-state analyses via
      * adopt*(); any analysis computed on demand after this constructor
      * sees no warmup prefix.
      */
-    RegionAnalysis(const RegionSpec &spec, std::vector<Instruction> instrs);
-
-    /** Columnar variant of the pre-generated-region constructor. */
     RegionAnalysis(const RegionSpec &spec, TraceColumns cols);
 
     const RegionSpec &spec() const { return regionSpec; }
 
-    /** Columnar region / warmup traces (the analysis-facing layout). */
+    /** Region / warmup traces. */
     const TraceColumns &regionColumns() const { return region; }
     const TraceColumns &warmupColumns() const { return warmup; }
     size_t regionSize() const { return region.size(); }
     size_t warmupSize() const { return warmup.size(); }
 
     /**
-     * AoS shims for row-oriented consumers (reference simulator, TAO
-     * baseline, dataset labeling): materialized lazily from the columns
-     * on first call, then cached for the instance lifetime.
-     */
-    const std::vector<Instruction> &instrs() const;
-    const std::vector<Instruction> &warmupInstrs() const;
-
-    /**
      * Warmup + region concatenated with the region's dependency indices
      * rebased by the warmup length -- exactly the combined trace the
-     * cycle-level simulator consumes. Materialized once per instance
-     * (same latch discipline as instrs()), so labeling N design points
-     * of one region rebuilds nothing.
+     * cycle-level simulator consumes. Built on first call under a
+     * once-init latch (safe to call from many threads), then cached for
+     * the instance lifetime, so labeling N design points of one region
+     * rebuilds nothing.
      */
-    const std::vector<Instruction> &combinedInstrs() const;
+    const TraceColumns &combinedColumns() const;
 
     /**
-     * Mispredict flags aligned with combinedInstrs(): zero across the
+     * Mispredict flags aligned with combinedColumns(): zero across the
      * warmup prefix, branches(config).mispredict across the region.
      * Memoized per branch configuration; kept in sync when
      * adoptBranches() replaces the underlying analysis.
@@ -244,16 +236,12 @@ class RegionAnalysis
         std::map<uint32_t, std::unique_ptr<Entry>> entries;
     };
 
-    /** Lazily materialized AoS mirrors of the columnar traces. */
-    struct AosShim
+    /** Lazily built combinedColumns() trace. */
+    struct CombinedTrace
     {
         std::mutex mtx;
-        std::atomic<bool> regionReady{false};
-        std::atomic<bool> warmReady{false};
-        std::atomic<bool> combinedReady{false};
-        std::vector<Instruction> region;
-        std::vector<Instruction> warm;
-        std::vector<Instruction> combined;  ///< warmup + rebased region
+        std::atomic<bool> ready{false};
+        TraceColumns cols;      ///< set under mtx
     };
 
     /** Non-movable innards, boxed so the class stays movable. */
@@ -264,7 +252,7 @@ class RegionAnalysis
         SideMemo<BranchAnalysis> branchAnalyses;
         /** Simulator flags layout per branch config (combinedFlags). */
         SideMemo<std::vector<uint8_t>> combinedFlagLayouts;
-        AosShim shim;
+        CombinedTrace combined;
     };
 
     /** One fused sweep building exactly the requested (null = skip) sides. */
@@ -272,7 +260,7 @@ class RegionAnalysis
                     ISideAnalysis *i, const BranchConfig *br,
                     BranchAnalysis *b) const;
 
-    /** Fill `flags` with the combinedInstrs()-aligned mispredict layout. */
+    /** Fill `flags` with the combinedColumns()-aligned mispredict layout. */
     void rebuildCombinedFlags(const BranchAnalysis &branch_info,
                               std::vector<uint8_t> &flags) const;
 
@@ -304,8 +292,9 @@ class AnalyzerCarryState
                        uint64_t branch_seed);
 
     /** Replay instructions into all structures without recording. */
-    void warm(const std::vector<Instruction> &instrs);
     void warm(const TraceColumns &instrs);
+    /** Row variant, the warmup half of the per-side reference oracle. */
+    void warm(const std::vector<Instruction> &instrs);
 
     /**
      * Analyze the next shard in trace order: one fused sweep producing
@@ -314,7 +303,10 @@ class AnalyzerCarryState
      */
     ShardAnalyses analyzeShard(const TraceColumns &shard);
 
-    /** Per-side variants (one sweep each; kept for tests). */
+    /**
+     * Per-side reference oracle over rows (one sweep each): the bitwise
+     * A/B baseline for analyzeShard in tests and bench_analysis_cold.
+     */
     DSideAnalysis analyzeDside(const std::vector<Instruction> &shard);
     ISideAnalysis analyzeIside(const std::vector<Instruction> &shard);
     BranchAnalysis analyzeBranches(const std::vector<Instruction> &shard);

@@ -201,10 +201,10 @@ FeatureProvider::estimatedLoadLatencySum(const MemoryConfig &mem)
     if (it != estLoadLatSums.end())
         return it->second;
     const auto &dside = region->dside(mem);
-    const std::vector<Instruction> &rows = region->instrs();
+    const TraceColumns &cols = region->regionColumns();
     uint64_t estimated = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].isLoad())
+    for (size_t i = 0; i < cols.size(); ++i) {
+        if (cols.isLoad(i))
             estimated += static_cast<uint64_t>(dside.execLat[i]);
     }
     estLoadLatSums.emplace(dkey, estimated);
@@ -339,8 +339,7 @@ FeatureProvider::ifillEntry(int max_fills, const MemoryConfig &mem)
 {
     return boundEntry(ifillCache, packKey(max_fills, mem.iSideKey()),
                       [&] {
-        return runIcacheFillsModel(region->regionColumns(),
-                                   region->iside(mem), max_fills,
+        return runIcacheFillsModel(region->iside(mem), max_fills,
                                    cfg.windowK);
     });
 }
@@ -356,8 +355,7 @@ FeatureProvider::fbufEntry(int num_buffers, const MemoryConfig &mem)
 {
     return boundEntry(fbufCache, packKey(num_buffers, mem.iSideKey()),
                       [&] {
-        return runFetchBufferModel(region->regionColumns(),
-                                   region->iside(mem), num_buffers,
+        return runFetchBufferModel(region->iside(mem), num_buffers,
                                    cfg.windowK);
     });
 }

@@ -22,10 +22,11 @@ using MinHeap = std::priority_queue<uint64_t, std::vector<uint64_t>,
  */
 template <typename NeedsSlot>
 std::vector<double>
-runSlotModel(size_t n, const ISideAnalysis &iside, int slots, int window_k,
+runSlotModel(const ISideAnalysis &iside, int slots, int window_k,
              NeedsSlot needs_slot)
 {
     panic_if(slots < 1, "need at least one slot");
+    const size_t n = iside.newLine.size();
 
     MinHeap slot_free;  // completion cycles of busy slots
     uint64_t prev_resp = 0;
@@ -59,41 +60,20 @@ runSlotModel(size_t n, const ISideAnalysis &iside, int slots, int window_k,
 } // anonymous namespace
 
 std::vector<double>
-runIcacheFillsModel(const std::vector<Instruction> &region,
-                    const ISideAnalysis &iside, int max_fills, int window_k)
+runIcacheFillsModel(const ISideAnalysis &iside, int max_fills, int window_k)
 {
     // Only misses (latency above an L1i hit) occupy a fill slot.
-    return runSlotModel(region.size(), iside, max_fills, window_k,
-                        [&](size_t i) {
-                            return iside.lineLat[i] > kL1iHitLat;
-                        });
+    return runSlotModel(iside, max_fills, window_k, [&](size_t i) {
+        return iside.lineLat[i] > kL1iHitLat;
+    });
 }
 
 std::vector<double>
-runIcacheFillsModel(const TraceColumns &region, const ISideAnalysis &iside,
-                    int max_fills, int window_k)
-{
-    return runSlotModel(region.size(), iside, max_fills, window_k,
-                        [&](size_t i) {
-                            return iside.lineLat[i] > kL1iHitLat;
-                        });
-}
-
-std::vector<double>
-runFetchBufferModel(const std::vector<Instruction> &region,
-                    const ISideAnalysis &iside, int num_buffers,
+runFetchBufferModel(const ISideAnalysis &iside, int num_buffers,
                     int window_k)
 {
     // Every line access occupies a buffer, hits included.
-    return runSlotModel(region.size(), iside, num_buffers, window_k,
-                        [](size_t) { return true; });
-}
-
-std::vector<double>
-runFetchBufferModel(const TraceColumns &region, const ISideAnalysis &iside,
-                    int num_buffers, int window_k)
-{
-    return runSlotModel(region.size(), iside, num_buffers, window_k,
+    return runSlotModel(iside, num_buffers, window_k,
                         [](size_t) { return true; });
 }
 

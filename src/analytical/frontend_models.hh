@@ -3,7 +3,8 @@
  * Frontend dynamic-constraint models (Section 3.2.1): basic
  * instruction-level simulations of the maximum-I-cache-fills limit and the
  * fetch-buffer pool, assuming an instruction backlog limited only by the
- * modeled resource.
+ * modeled resource. Both read only the region's i-side analysis (one
+ * entry per region instruction).
  */
 
 #ifndef CONCORDE_ANALYTICAL_FRONTEND_MODELS_HH
@@ -22,23 +23,15 @@ namespace concorde
  * instructions are delivered in order at their line's response cycle.
  * L1i hits consume no fill slot.
  */
-std::vector<double> runIcacheFillsModel(
-    const std::vector<Instruction> &region, const ISideAnalysis &iside,
-    int max_fills, int window_k);
-std::vector<double> runIcacheFillsModel(
-    const TraceColumns &region, const ISideAnalysis &iside, int max_fills,
-    int window_k);
+std::vector<double> runIcacheFillsModel(const ISideAnalysis &iside,
+                                        int max_fills, int window_k);
 
 /**
  * Fetch-buffer throughput bound: every line access (hit or miss) occupies
  * one of `num_buffers` fetch buffers for the duration of its access.
  */
-std::vector<double> runFetchBufferModel(
-    const std::vector<Instruction> &region, const ISideAnalysis &iside,
-    int num_buffers, int window_k);
-std::vector<double> runFetchBufferModel(
-    const TraceColumns &region, const ISideAnalysis &iside,
-    int num_buffers, int window_k);
+std::vector<double> runFetchBufferModel(const ISideAnalysis &iside,
+                                        int num_buffers, int window_k);
 
 } // namespace concorde
 

@@ -55,21 +55,6 @@ runQueueModel(size_t n, int queue_size, int window_k, MemberFn is_member,
 } // anonymous namespace
 
 std::vector<double>
-runLoadQueueModel(const std::vector<Instruction> &region,
-                  const LoadLineIndex &index,
-                  const std::vector<int32_t> &exec_lat,
-                  int lq_size, int window_k)
-{
-    MemoryStateMachine memory(index, exec_lat);
-    return runQueueModel(
-        region.size(), lq_size, window_k,
-        [&](size_t i) { return region[i].isLoad(); },
-        [&](uint64_t s, size_t i) {
-            return memory.respCycleInOrder(s, i, true);
-        });
-}
-
-std::vector<double>
 runLoadQueueModel(const TraceColumns &region, const LoadLineIndex &index,
                   const std::vector<int32_t> &exec_lat, int lq_size,
                   int window_k)
@@ -81,17 +66,6 @@ runLoadQueueModel(const TraceColumns &region, const LoadLineIndex &index,
         [&](uint64_t s, size_t i) {
             return memory.respCycleInOrder(s, i, true);
         });
-}
-
-std::vector<double>
-runStoreQueueModel(const std::vector<Instruction> &region, int sq_size,
-                   int window_k)
-{
-    const uint64_t store_lat = fixedLatency(InstrType::Store);
-    return runQueueModel(
-        region.size(), sq_size, window_k,
-        [&](size_t i) { return region[i].isStore(); },
-        [&](uint64_t s, size_t) { return s + store_lat; });
 }
 
 std::vector<double>

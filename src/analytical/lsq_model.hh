@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/memory_state_machine.hh"
-#include "trace/instruction.hh"
 #include "trace/trace_columns.hh"
 
 namespace concorde
@@ -25,18 +24,12 @@ namespace concorde
  * instructions (all instructions count toward windows; only loads are
  * constrained).
  */
-std::vector<double> runLoadQueueModel(const std::vector<Instruction> &region,
-                                      const LoadLineIndex &index,
-                                      const std::vector<int32_t> &exec_lat,
-                                      int lq_size, int window_k);
 std::vector<double> runLoadQueueModel(const TraceColumns &region,
                                       const LoadLineIndex &index,
                                       const std::vector<int32_t> &exec_lat,
                                       int lq_size, int window_k);
 
 /** Store-queue analogue (store latency is fixed; no memory state machine). */
-std::vector<double> runStoreQueueModel(
-    const std::vector<Instruction> &region, int sq_size, int window_k);
 std::vector<double> runStoreQueueModel(const TraceColumns &region,
                                        int sq_size, int window_k);
 

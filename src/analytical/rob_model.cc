@@ -8,44 +8,13 @@
 namespace concorde
 {
 
-namespace
-{
-
-/** Field accessors over an AoS trace. */
-struct AosTraceView
-{
-    const std::vector<Instruction> &v;
-    size_t size() const { return v.size(); }
-    int32_t srcDep(size_t i, int d) const { return v[i].srcDeps[d]; }
-    int32_t memDep(size_t i) const { return v[i].memDep; }
-    bool isIsb(size_t i) const { return v[i].isIsb(); }
-    bool isLoad(size_t i) const { return v[i].isLoad(); }
-};
-
-/** Field accessors over a columnar trace. */
-struct ColTraceView
-{
-    const TraceColumns &c;
-    size_t size() const { return c.size(); }
-    int32_t
-    srcDep(size_t i, int d) const
-    {
-        return d == 0 ? c.srcDep0[i] : c.srcDep1[i];
-    }
-    int32_t memDep(size_t i) const { return c.memDep[i]; }
-    bool isIsb(size_t i) const { return c.isIsb(i); }
-    bool isLoad(size_t i) const { return c.isLoad(i); }
-};
-
-template <typename TraceView>
 RobModelResult
-runRobModelImpl(const TraceView &trace, const LoadLineIndex &index,
-                const std::vector<int32_t> &exec_lat, int rob_size,
-                int window_k, bool collect_latencies,
-                RobModelScratch *scratch)
+runRobModel(const TraceColumns &region, const LoadLineIndex &index,
+            const std::vector<int32_t> &exec_lat, int rob_size,
+            int window_k, bool collect_latencies, RobModelScratch *scratch)
 {
     panic_if(rob_size < 1, "ROB size must be >= 1");
-    const size_t n = trace.size();
+    const size_t n = region.size();
 
     RobModelResult result;
     if (n == 0)
@@ -88,19 +57,18 @@ runRobModelImpl(const TraceView &trace, const LoadLineIndex &index,
 
         // Eq. (2): dependencies.
         uint64_t s = std::max(a, barrier_finish);
-        for (int d = 0; d < kMaxSrcDeps; ++d) {
-            const int32_t dep = trace.srcDep(i, d);
-            if (dep >= 0)
-                s = std::max(s, finish[dep]);
-        }
-        if (trace.memDep(i) >= 0)
-            s = std::max(s, finish[trace.memDep(i)]);
-        const bool isb = trace.isIsb(i);
+        if (region.srcDep0[i] >= 0)
+            s = std::max(s, finish[region.srcDep0[i]]);
+        if (region.srcDep1[i] >= 0)
+            s = std::max(s, finish[region.srcDep1[i]]);
+        if (region.memDep[i] >= 0)
+            s = std::max(s, finish[region.memDep[i]]);
+        const bool isb = region.isIsb(i);
         if (isb)
             s = std::max(s, max_finish);
 
         // Eq. (3): memory state machine.
-        const uint64_t f = memory.respCycleInOrder(s, i, trace.isLoad(i));
+        const uint64_t f = memory.respCycleInOrder(s, i, region.isLoad(i));
 
         // Eq. (4): in-order commit.
         const uint64_t c = std::max(f, c_prev);
@@ -133,8 +101,6 @@ runRobModelImpl(const TraceView &trace, const LoadLineIndex &index,
     return result;
 }
 
-} // anonymous namespace
-
 std::vector<RobModelResult>
 runRobModelSweep(const TraceColumns &region, const LoadLineIndex &index,
                  const std::vector<int32_t> &exec_lat,
@@ -152,31 +118,11 @@ runRobModelSweep(const TraceColumns &region, const LoadLineIndex &index,
     results.reserve(requests.size());
     RobModelScratch scratch;
     for (const RobSweepRequest &req : requests) {
-        results.push_back(runRobModelImpl(ColTraceView{region}, index,
-                                          exec_lat, req.robSize, window_k,
-                                          req.collectLatencies, &scratch));
+        results.push_back(runRobModel(region, index, exec_lat, req.robSize,
+                                      window_k, req.collectLatencies,
+                                      &scratch));
     }
     return results;
-}
-
-RobModelResult
-runRobModel(const std::vector<Instruction> &region,
-            const LoadLineIndex &index,
-            const std::vector<int32_t> &exec_lat,
-            int rob_size, int window_k, bool collect_latencies,
-            RobModelScratch *scratch)
-{
-    return runRobModelImpl(AosTraceView{region}, index, exec_lat, rob_size,
-                           window_k, collect_latencies, scratch);
-}
-
-RobModelResult
-runRobModel(const TraceColumns &region, const LoadLineIndex &index,
-            const std::vector<int32_t> &exec_lat, int rob_size,
-            int window_k, bool collect_latencies, RobModelScratch *scratch)
-{
-    return runRobModelImpl(ColTraceView{region}, index, exec_lat, rob_size,
-                           window_k, collect_latencies, scratch);
 }
 
 } // namespace concorde

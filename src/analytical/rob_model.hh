@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "analysis/memory_state_machine.hh"
-#include "trace/instruction.hh"
 #include "trace/trace_columns.hh"
 
 namespace concorde
@@ -64,14 +63,6 @@ struct RobModelScratch
  * @param collect_latencies also fill the three latency vectors
  * @param scratch optional reusable working buffers
  */
-RobModelResult runRobModel(const std::vector<Instruction> &region,
-                           const LoadLineIndex &index,
-                           const std::vector<int32_t> &exec_lat,
-                           int rob_size, int window_k,
-                           bool collect_latencies,
-                           RobModelScratch *scratch = nullptr);
-
-/** Columnar variant (bitwise-identical results). */
 RobModelResult runRobModel(const TraceColumns &region,
                            const LoadLineIndex &index,
                            const std::vector<int32_t> &exec_lat,

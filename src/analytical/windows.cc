@@ -22,17 +22,12 @@ throughputFromBoundaries(const std::vector<uint64_t> &boundary_cycles, int k)
     return thr;
 }
 
-namespace
-{
-
-/** Shared counting loop; type_of / kind_of abstract the trace layout. */
-template <typename TypeOf, typename KindOf>
 WindowCounts
-buildCounts(size_t n, int k, TypeOf type_of, KindOf kind_of)
+WindowCounts::build(const TraceColumns &region, int k)
 {
     WindowCounts counts;
     counts.k = k;
-    const size_t windows = numWindows(n, k);
+    const size_t windows = numWindows(region.size(), k);
     counts.nAlu.assign(windows, 0);
     counts.nFp.assign(windows, 0);
     counts.nLs.assign(windows, 0);
@@ -47,7 +42,7 @@ buildCounts(size_t n, int k, TypeOf type_of, KindOf kind_of)
         const size_t begin = j * static_cast<size_t>(k);
         const size_t end = begin + static_cast<size_t>(k);
         for (size_t i = begin; i < end; ++i) {
-            const InstrType type = type_of(i);
+            const InstrType type = region.type[i];
             switch (issueClassOf(type)) {
               case IssueClass::Alu: ++counts.nAlu[j]; break;
               case IssueClass::Fp: ++counts.nFp[j]; break;
@@ -59,7 +54,7 @@ buildCounts(size_t n, int k, TypeOf type_of, KindOf kind_of)
                 ++counts.nStore[j];
             if (type == InstrType::Isb)
                 ++counts.nIsb[j];
-            switch (kind_of(i)) {
+            switch (region.branchKind[i]) {
               case BranchKind::DirectCond: ++counts.nCondBr[j]; break;
               case BranchKind::DirectUncond: ++counts.nUncondBr[j]; break;
               case BranchKind::Indirect: ++counts.nIndirectBr[j]; break;
@@ -68,24 +63,6 @@ buildCounts(size_t n, int k, TypeOf type_of, KindOf kind_of)
         }
     }
     return counts;
-}
-
-} // anonymous namespace
-
-WindowCounts
-WindowCounts::build(const std::vector<Instruction> &region, int k)
-{
-    return buildCounts(
-        region.size(), k, [&](size_t i) { return region[i].type; },
-        [&](size_t i) { return region[i].branchKind; });
-}
-
-WindowCounts
-WindowCounts::build(const TraceColumns &region, int k)
-{
-    return buildCounts(
-        region.size(), k, [&](size_t i) { return region.type[i]; },
-        [&](size_t i) { return region.branchKind[i]; });
 }
 
 } // namespace concorde

@@ -56,7 +56,6 @@ struct WindowCounts
 
     size_t windows() const { return nAlu.size(); }
 
-    static WindowCounts build(const std::vector<Instruction> &region, int k);
     static WindowCounts build(const TraceColumns &region, int k);
 };
 

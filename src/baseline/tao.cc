@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -48,7 +50,7 @@ void
 TaoModel::encodeWindow(RegionAnalysis &analysis, size_t offset,
                        std::vector<float> &out) const
 {
-    const auto &region = analysis.instrs();
+    const TraceColumns &region = analysis.regionColumns();
     const auto &dside = analysis.dside(targetUarch.memory);
     const auto &iside = analysis.iside(targetUarch.memory);
     const auto &branch_info = analysis.branches(targetUarch.branch);
@@ -57,21 +59,21 @@ TaoModel::encodeWindow(RegionAnalysis &analysis, size_t offset,
     for (size_t t = 0; t < cfg.seqLen; ++t) {
         const size_t i = offset + t;
         panic_if(i >= region.size(), "TAO window out of range");
-        const Instruction &instr = region[i];
         float *f = out.data() + t * kTaoInstrDim;
 
-        f[static_cast<size_t>(instr.type)] = 1.0f;  // one-hot(9)
+        f[static_cast<size_t>(region.type[i])] = 1.0f;  // one-hot(9)
+        const int32_t deps[kMaxSrcDeps] = {region.srcDep0[i],
+                                           region.srcDep1[i]};
         for (int d = 0; d < kMaxSrcDeps; ++d) {
-            if (instr.srcDeps[d] >= 0) {
+            if (deps[d] >= 0) {
                 const double dist =
-                    static_cast<double>(i)
-                    - static_cast<double>(instr.srcDeps[d]);
+                    static_cast<double>(i) - static_cast<double>(deps[d]);
                 f[9 + d] = static_cast<float>(
                     std::log1p(std::max(1.0, dist)) / 8.0);
             }
         }
         f[11] = iside.newLine[i] ? 1.0f : 0.0f;
-        if (instr.isLoad())
+        if (region.isLoad(i))
             f[12 + static_cast<size_t>(dside.loadLevel[i])] = 1.0f;
         f[16] = branch_info.mispredict[i] ? 1.0f : 0.0f;
     }
@@ -131,7 +133,7 @@ TaoModel::forwardWindow(const float *x, std::vector<float> &h) const
 double
 TaoModel::predictCpi(RegionAnalysis &analysis) const
 {
-    const size_t n = analysis.instrs().size();
+    const size_t n = analysis.regionSize();
     panic_if(n < cfg.seqLen, "region shorter than TAO window");
     std::vector<float> x;
     std::vector<float> h;
@@ -345,7 +347,7 @@ TaoModel::train(const std::vector<RegionSpec> &regions,
     std::vector<float> ys(total);
     parallelFor(regions.size(), [&](size_t s) {
         RegionAnalysis analysis(regions[s]);
-        const size_t n = analysis.instrs().size();
+        const size_t n = analysis.regionSize();
         std::vector<float> block;
         for (size_t w = 0; w < windows; ++w) {
             const size_t offset = windows == 1
@@ -489,6 +491,23 @@ TaoModel::load(const std::string &path)
     }
     model.wo = in.getVector<float>();
     model.bo = in.get<float>();
+
+    // The forward pass indexes the weights by the header's sizes; a
+    // header that disagrees with the stored vectors would read past them.
+    const size_t h = model.cfg.hidden;
+    if (h == 0 || model.cfg.seqLen == 0)
+        throw std::runtime_error(path + ": TAO header has zero hidden or "
+                                 "sequence length");
+    for (int k = 0; k < 3; ++k) {
+        if (model.wx[k].size() != h * kTaoInstrDim
+            || model.wh[k].size() != h * h || model.b[k].size() != h) {
+            throw std::runtime_error(path + ": TAO gate weights do not "
+                                     "match hidden=" + std::to_string(h));
+        }
+    }
+    if (model.wo.size() != h)
+        throw std::runtime_error(path + ": TAO readout weights do not "
+                                 "match hidden=" + std::to_string(h));
     return model;
 }
 

@@ -69,6 +69,10 @@ class TaoModel
                  const std::vector<float> &labels);
 
     void save(const std::string &path) const;
+    /**
+     * Throws std::runtime_error when the stored weights do not have the
+     * sizes the header's hidden width implies, or seqLen is zero.
+     */
     static TaoModel load(const std::string &path);
 
     bool valid() const { return !wx.empty(); }

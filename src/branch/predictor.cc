@@ -67,8 +67,7 @@ runPredictor(BranchPredictor &predictor, const TraceColumns &instrs,
 }
 
 std::vector<uint8_t>
-computeMispredicts(const std::vector<Instruction> &warmup,
-                   const std::vector<Instruction> &region,
+computeMispredicts(const TraceColumns &warmup, const TraceColumns &region,
                    const BranchConfig &config, uint64_t seed)
 {
     auto predictor = makePredictor(config, seed);

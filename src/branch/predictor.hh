@@ -104,22 +104,25 @@ predictorStep(BranchPredictor &predictor, uint64_t pc, BranchKind kind,
  * state carries across calls, which is how the stitched pipeline splits
  * a trace at shard boundaries without changing any outcome.
  */
-void runPredictor(BranchPredictor &predictor,
-                  const std::vector<Instruction> &instrs,
+void runPredictor(BranchPredictor &predictor, const TraceColumns &instrs,
                   std::vector<uint8_t> *flags);
 
-/** Columnar variant (identical outcomes and training). */
-void runPredictor(BranchPredictor &predictor, const TraceColumns &instrs,
+/**
+ * Row variant (identical outcomes and training), called only by the
+ * row-based reference analyses of AnalyzerCarryState.
+ */
+void runPredictor(BranchPredictor &predictor,
+                  const std::vector<Instruction> &instrs,
                   std::vector<uint8_t> *flags);
 
 /**
  * Run the configured predictor over `warmup + region` and return one flag
  * per region instruction (1 = mispredicted branch). Non-branches get 0.
  */
-std::vector<uint8_t> computeMispredicts(
-    const std::vector<Instruction> &warmup,
-    const std::vector<Instruction> &region,
-    const BranchConfig &config, uint64_t seed);
+std::vector<uint8_t> computeMispredicts(const TraceColumns &warmup,
+                                        const TraceColumns &region,
+                                        const BranchConfig &config,
+                                        uint64_t seed);
 
 } // namespace concorde
 

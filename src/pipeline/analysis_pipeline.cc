@@ -79,12 +79,12 @@ AnalysisPipeline::buildProviders(const TraceSpan &span,
         warm.numChunks = cfg.warmupChunks;
         warm.startChunk = span.startChunk >= cfg.warmupChunks
             ? span.startChunk - cfg.warmupChunks : span.startChunk;
-        model.generateRegionColumns(warm, cols, gen_scratch);
+        model.generateRegion(warm, cols, gen_scratch);
         carry.warm(cols);
     }
 
     for (size_t i = 0; i < regions.size(); ++i) {
-        model.generateRegionColumns(regions[i], cols, gen_scratch);
+        model.generateRegion(regions[i], cols, gen_scratch);
         ShardAnalyses shard = carry.analyzeShard(cols);
 
         RegionAnalysis analysis(regions[i], std::move(cols));

@@ -143,7 +143,7 @@ struct SimScratch::Impl
 {
     // Staging for simulateTrace's warmup+region rebase (the cached-trace
     // entry points bypass these entirely).
-    std::vector<Instruction> stagedAll;
+    TraceColumns stagedAll;
     std::vector<uint8_t> stagedFlags;
 
     // Per-instruction dynamic state.
@@ -743,7 +743,8 @@ struct Engine
 /**
  * The scratch-backed engine: stage-for-stage the same state machine as
  * Engine above (same iteration order, same comparators, same tie-breaks,
- * so results are bitwise-identical), with every container replaced by a
+ * so results are bitwise-identical), reading the trace as TraceColumns
+ * instead of Instruction rows, with every container replaced by a
  * reused member of SimScratch::Impl -- rings instead of deques, reused
  * heap vectors instead of priority_queues, and an in-place TimingMemory
  * reset instead of reconstruction. The write-only issuedAt array of the
@@ -752,7 +753,7 @@ struct Engine
 struct FastEngine
 {
     const UarchParams &p;
-    const std::vector<Instruction> &instrs;   // warmup + region
+    const TraceColumns &instrs;               // warmup + region
     const std::vector<uint8_t> &mispredict;   // aligned with instrs
     const size_t warmupCount;
 
@@ -828,8 +829,7 @@ struct FastEngine
         return *sc.mem;
     }
 
-    FastEngine(const UarchParams &params,
-               const std::vector<Instruction> &all,
+    FastEngine(const UarchParams &params, const TraceColumns &all,
                const std::vector<uint8_t> &flags, size_t warmup_count,
                SimScratch::Impl &sc)
         : p(params), instrs(all), mispredict(flags),
@@ -880,7 +880,7 @@ struct FastEngine
         runOf.resize(instrs.size());
         uint64_t cur_line = ~0ULL;
         for (uint32_t i = 0; i < instrs.size(); ++i) {
-            const uint64_t line = instrs[i].instLine();
+            const uint64_t line = instrs.instLine[i];
             if (line != cur_line) {
                 runs.push_back({i, i + 1, line});
                 cur_line = line;
@@ -896,7 +896,7 @@ struct FastEngine
     {
         horizonEvents.clear();
         for (uint32_t i = 0; i < instrs.size(); ++i) {
-            if (mispredict[i] || instrs[i].isIsb())
+            if (mispredict[i] || instrs.isIsb(i))
                 horizonEvents.push_back(i);
         }
     }
@@ -922,7 +922,7 @@ struct FastEngine
     bool
     resolvedControl(uint32_t i)
     {
-        if (instrs[i].isIsb())
+        if (instrs.isIsb(i))
             return committedFlag[i];
         return finished[i];
     }
@@ -951,12 +951,11 @@ struct FastEngine
             committedFlag[head] = 1;
             ++committed;
             any = true;
-            const Instruction &instr = instrs[head];
-            if (instr.isLoad()) {
+            if (instrs.isLoad(head)) {
                 --lqOcc;
-            } else if (instr.isStore()) {
+            } else if (instrs.isStore(head)) {
                 --sqOcc;
-                mem.store(instr.pc, instr.memAddr, cycle);
+                mem.store(instrs.pc[head], instrs.memAddr[head], cycle);
             }
             if (!inRegion && committed == warmupCount) {
                 inRegion = true;
@@ -995,7 +994,7 @@ struct FastEngine
     void
     pushReady(uint32_t i)
     {
-        switch (issueClassOf(instrs[i].type)) {
+        switch (issueClassOf(instrs.type[i])) {
           case IssueClass::Alu: readyAlu.push(i); break;
           case IssueClass::Fp: readyFp.push(i); break;
           case IssueClass::LoadStore: readyLs.push(i); break;
@@ -1005,21 +1004,23 @@ struct FastEngine
     void
     execute(uint32_t i)
     {
-        const Instruction &instr = instrs[i];
+        const InstrType type = instrs.type[i];
         uint64_t done;
-        if (instr.isLoad()) {
-            if (instr.memDep >= 0 && !committedFlag[instr.memDep]) {
+        if (type == InstrType::Load) {
+            const int32_t mem_dep = instrs.memDep[i];
+            if (mem_dep >= 0 && !committedFlag[mem_dep]) {
                 // Store-to-load forwarding from the store buffer.
                 done = cycle + kForwardLat;
             } else {
-                done = mem.load(instr.pc, instr.memAddr, cycle).readyCycle;
+                done = mem.load(instrs.pc[i], instrs.memAddr[i], cycle)
+                           .readyCycle;
             }
             if (inRegion) {
                 result.actualLoadLatencySum += done - cycle;
                 ++result.loadCount;
             }
         } else {
-            done = cycle + static_cast<uint64_t>(fixedLatency(instr.type));
+            done = cycle + static_cast<uint64_t>(fixedLatency(type));
         }
         readyCycle[i] = done;
         if (done <= cycle) {
@@ -1061,7 +1062,7 @@ struct FastEngine
                 const uint32_t i = readyLs.top();
                 if (dispatchCycle[i] >= cycle)
                     break;
-                const bool is_store = instrs[i].isStore();
+                const bool is_store = instrs.isStore(i);
                 bool can_issue;
                 if (is_store) {
                     can_issue = ls_pipes_used < p.lsPipes;
@@ -1102,18 +1103,19 @@ struct FastEngine
             const auto [ready_at, i] = renameQ.front();
             if (ready_at > cycle)
                 break;
-            const Instruction &instr = instrs[i];
+            const bool is_load = instrs.isLoad(i);
+            const bool is_store = instrs.isStore(i);
             if (rob.size() >= static_cast<size_t>(p.robSize))
                 break;
-            if (instr.isLoad() && lqOcc >= static_cast<uint32_t>(p.lqSize))
+            if (is_load && lqOcc >= static_cast<uint32_t>(p.lqSize))
                 break;
-            if (instr.isStore() && sqOcc >= static_cast<uint32_t>(p.sqSize))
+            if (is_store && sqOcc >= static_cast<uint32_t>(p.sqSize))
                 break;
             renameQ.pop_front();
             rob.push_back(i);
-            if (instr.isLoad())
+            if (is_load)
                 ++lqOcc;
-            if (instr.isStore())
+            if (is_store)
                 ++sqOcc;
             dispatched[i] = 1;
             dispatchCycle[i] = cycle;
@@ -1129,10 +1131,9 @@ struct FastEngine
                     ++deps;
                 }
             };
-            for (int s = 0; s < kMaxSrcDeps; ++s)
-                add_dep(instr.srcDeps[s]);
-            if (instr.memDep >= 0)
-                add_dep(instr.memDep);
+            add_dep(instrs.srcDep0[i]);
+            add_dep(instrs.srcDep1[i]);
+            add_dep(instrs.memDep[i]);
             depCount[i] = static_cast<int8_t>(deps);
             if (deps == 0)
                 pushReady(i);
@@ -1231,7 +1232,7 @@ struct FastEngine
                     squashFetchAhead();
                     break;
                 }
-                if (instrs[i].isIsb()) {
+                if (instrs.isIsb(i)) {
                     blockedIsb = i;
                     squashFetchAhead();
                     break;
@@ -1383,8 +1384,7 @@ struct FastEngine
 } // anonymous namespace
 
 SimResult
-simulateCombined(const UarchParams &params,
-                 const std::vector<Instruction> &all,
+simulateCombined(const UarchParams &params, const TraceColumns &all,
                  const std::vector<uint8_t> &flags, size_t warmup_count,
                  int window_k, SimScratch &scratch)
 {
@@ -1400,9 +1400,8 @@ simulateCombined(const UarchParams &params,
 }
 
 SimResult
-simulateTrace(const UarchParams &params,
-              const std::vector<Instruction> &warmup,
-              const std::vector<Instruction> &region,
+simulateTrace(const UarchParams &params, const TraceColumns &warmup,
+              const TraceColumns &region,
               const std::vector<uint8_t> &mispredict_flags, int window_k,
               SimScratch *scratch)
 {
@@ -1418,22 +1417,11 @@ simulateTrace(const UarchParams &params,
     // Concatenate warmup + region with zero flags for warmup, reusing the
     // scratch staging buffers (warmup only exists to fill timing state).
     SimScratch::Impl &sc = *scratch->impl;
-    sc.stagedAll.clear();
-    sc.stagedAll.reserve(warmup.size() + region.size());
-    sc.stagedAll.insert(sc.stagedAll.end(), warmup.begin(), warmup.end());
-    const int32_t offset = static_cast<int32_t>(warmup.size());
-    for (Instruction instr : region) {
-        for (int d = 0; d < kMaxSrcDeps; ++d) {
-            if (instr.srcDeps[d] >= 0)
-                instr.srcDeps[d] += offset;
-        }
-        if (instr.memDep >= 0)
-            instr.memDep += offset;
-        sc.stagedAll.push_back(instr);
-    }
+    sc.stagedAll.assignConcat(warmup, region);
     sc.stagedFlags.assign(sc.stagedAll.size(), 0);
     std::copy(mispredict_flags.begin(), mispredict_flags.end(),
-              sc.stagedFlags.begin() + offset);
+              sc.stagedFlags.begin()
+                  + static_cast<std::ptrdiff_t>(warmup.size()));
 
     return simulateCombined(params, sc.stagedAll, sc.stagedFlags,
                             warmup.size(), window_k, *scratch);
@@ -1445,7 +1433,7 @@ simulateRegion(const UarchParams &params, RegionAnalysis &analysis,
 {
     // The combined trace and flags layout are cached on the analysis, so
     // every design point over a region shares one rebased concatenation.
-    const std::vector<Instruction> &all = analysis.combinedInstrs();
+    const TraceColumns &all = analysis.combinedColumns();
     const std::vector<uint8_t> &flags =
         analysis.combinedFlags(params.branch);
     if (scratch) {

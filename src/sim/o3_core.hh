@@ -20,14 +20,16 @@
  *    in-order trace analysis so that Figure 11's discrepancies arise.
  *
  * Two implementations share these semantics cycle for cycle:
- *  - the fast path (simulateTrace / simulateRegion): every per-call
- *    container lives in a caller-owned SimScratch, queues are fixed-cap
- *    ring buffers, heaps are reused vectors, and the timing memory is
- *    reset in place -- labeling N design points of one region allocates
- *    once, not N times;
+ *  - the fast path (simulateTrace / simulateCombined / simulateRegion)
+ *    reads the columnar TraceColumns layout, like every other production
+ *    path: every per-call container lives in a caller-owned SimScratch,
+ *    queues are fixed-cap ring buffers, heaps are reused vectors, and
+ *    the timing memory is reset in place -- labeling N design points of
+ *    one region allocates once, not N times;
  *  - the reference path (simulateTraceReference): the original
- *    fresh-containers-per-call engine, kept verbatim as the bitwise A/B
- *    oracle (tests/test_sim_labeler, bench/bench_sim_labeler).
+ *    fresh-containers-per-call engine over Instruction rows, kept
+ *    verbatim as the bitwise A/B oracle (tests/test_sim_labeler,
+ *    bench/bench_sim_labeler).
  */
 
 #ifndef CONCORDE_SIM_O3_CORE_HH
@@ -39,6 +41,7 @@
 
 #include "analysis/trace_analyzer.hh"
 #include "trace/instruction.hh"
+#include "trace/trace_columns.hh"
 #include "uarch/params.hh"
 
 namespace concorde
@@ -109,18 +112,18 @@ struct SimScratch
  * @param scratch optional reusable working set; null = per-call local
  */
 SimResult simulateTrace(const UarchParams &params,
-                        const std::vector<Instruction> &warmup,
-                        const std::vector<Instruction> &region,
+                        const TraceColumns &warmup,
+                        const TraceColumns &region,
                         const std::vector<uint8_t> &mispredict_flags,
                         int window_k = 0, SimScratch *scratch = nullptr);
 
 /**
  * Simulate a prebuilt warmup+region concatenation whose region deps are
- * already rebased (RegionAnalysis::combinedInstrs / combinedFlags): the
+ * already rebased (RegionAnalysis::combinedColumns / combinedFlags): the
  * allocation-free labeling hot path -- no per-call trace rebuild at all.
  */
 SimResult simulateCombined(const UarchParams &params,
-                           const std::vector<Instruction> &all,
+                           const TraceColumns &all,
                            const std::vector<uint8_t> &flags,
                            size_t warmup_count, int window_k,
                            SimScratch &scratch);

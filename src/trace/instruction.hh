@@ -1,11 +1,15 @@
 /**
  * @file
- * The per-instruction trace record consumed by trace analysis, the
- * analytical models, and the reference cycle-level simulator.
+ * The per-instruction trace record and the enums that classify it.
  *
  * This is the repo's analogue of a post-processed DynamoRIO drmemtrace
  * record (paper Section 3.1): program counter, effective address, register
  * and memory dependencies, instruction class, and branch metadata.
+ * Traces are stored in one layout, TraceColumns (one column per field
+ * below); an Instruction is the unit the generator emits into it
+ * (TraceColumns::append). Only the two reference oracles read traces as
+ * rows of this record: simulateTraceReference and AnalyzerCarryState's
+ * per-side analyses, both fed TraceColumns::toInstructions().
  */
 
 #ifndef CONCORDE_TRACE_INSTRUCTION_HH
@@ -53,8 +57,8 @@ constexpr int kMaxSrcDeps = 2;
 
 /**
  * One dynamic instruction. Dependency fields hold absolute indices into the
- * enclosing region's instruction vector (-1 when absent); region generation
- * guarantees dep < own index.
+ * enclosing region's trace (-1 when absent); region generation guarantees
+ * dep < own index.
  */
 struct Instruction
 {

@@ -156,35 +156,18 @@ ProgramModel::phaseOf(uint64_t chunk_index) const
     return (chunk_index / period) % prof.phases.size();
 }
 
-std::vector<Instruction>
-ProgramModel::generateRegion(const RegionSpec &spec) const
-{
-    std::vector<Instruction> out;
-    out.reserve(spec.numInstructions());
-    GenScratch scratch;
-    for (uint32_t c = 0; c < spec.numChunks; ++c) {
-        const int64_t base = static_cast<int64_t>(out.size());
-        generateChunkImpl(spec.traceId, spec.startChunk + c, base, scratch,
-                          [&out](const Instruction &instr) {
-                              out.push_back(instr);
-                          });
-    }
-    return out;
-}
-
 TraceColumns
-ProgramModel::generateRegionColumns(const RegionSpec &spec) const
+ProgramModel::generateRegion(const RegionSpec &spec) const
 {
     TraceColumns out;
     GenScratch scratch;
-    generateRegionColumns(spec, out, scratch);
+    generateRegion(spec, out, scratch);
     return out;
 }
 
 void
-ProgramModel::generateRegionColumns(const RegionSpec &spec,
-                                    TraceColumns &out,
-                                    GenScratch &scratch) const
+ProgramModel::generateRegion(const RegionSpec &spec, TraceColumns &out,
+                             GenScratch &scratch) const
 {
     out.clear();
     out.reserve(spec.numInstructions());
@@ -214,34 +197,10 @@ shardSpan(const TraceSpan &span, uint32_t region_chunks)
 
 void
 ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
-                            std::vector<Instruction> &out,
-                            int64_t base) const
-{
-    GenScratch scratch;
-    generateChunkImpl(trace_id, chunk_index, base, scratch,
-                      [&out](const Instruction &instr) {
-                          out.push_back(instr);
-                      });
-}
-
-void
-ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                             TraceColumns &out, int64_t base,
                             GenScratch &scratch) const
 {
     out.reserve(out.size() + kChunkLen);
-    generateChunkImpl(trace_id, chunk_index, base, scratch,
-                      [&out](const Instruction &instr) {
-                          out.append(instr);
-                      });
-}
-
-template <typename Emit>
-void
-ProgramModel::generateChunkImpl(int trace_id, uint64_t chunk_index,
-                                int64_t base, GenScratch &scratch,
-                                Emit &&emit) const
-{
     const PhaseProfile &phase = prof.phases[phaseOf(chunk_index)];
     Rng rng(hashMix(seed, static_cast<uint64_t>(trace_id) + 1,
                     chunk_index + 0x5eedULL));
@@ -413,7 +372,7 @@ ProgramModel::generateChunkImpl(int trace_id, uint64_t chunk_index,
                 break;
               }
             }
-            emit(instr);
+            out.append(instr);
         }
         if (emitted >= target_count)
             break;
@@ -547,7 +506,7 @@ ProgramModel::generateChunkImpl(int trace_id, uint64_t chunk_index,
             }
         }
 
-        emit(br);
+        out.append(br);
         ++emitted;
         st.curBlock = next_block;
     }

@@ -174,23 +174,17 @@ class ProgramModel
     /**
      * Append exactly kChunkLen instructions for the given chunk.
      * Dependency indices are relative to `base` (the index the chunk's
-     * first instruction will occupy in the caller's vector).
+     * first instruction will occupy in `out`).
      */
-    void generateChunk(int trace_id, uint64_t chunk_index,
-                       std::vector<Instruction> &out, int64_t base) const;
-
-    /** Columnar variant with caller-owned scratch (the cold hot path). */
     void generateChunk(int trace_id, uint64_t chunk_index,
                        TraceColumns &out, int64_t base,
                        GenScratch &scratch) const;
 
     /** Materialize a contiguous region (numChunks chunks from startChunk). */
-    std::vector<Instruction> generateRegion(const RegionSpec &spec) const;
-
-    /** Columnar region materialization (bitwise-equal to generateRegion). */
-    TraceColumns generateRegionColumns(const RegionSpec &spec) const;
-    void generateRegionColumns(const RegionSpec &spec, TraceColumns &out,
-                               GenScratch &scratch) const;
+    TraceColumns generateRegion(const RegionSpec &spec) const;
+    /** Same, into caller-owned storage and scratch (the cold hot path). */
+    void generateRegion(const RegionSpec &spec, TraceColumns &out,
+                        GenScratch &scratch) const;
 
   private:
     /** Static branch personality of one basic block. */
@@ -220,11 +214,6 @@ class ProgramModel
         uint64_t branchPc;
         uint32_t slotBegin;     ///< first entry in `slots`
     };
-
-    template <typename Emit>
-    void generateChunkImpl(int trace_id, uint64_t chunk_index,
-                           int64_t base, GenScratch &scratch,
-                           Emit &&emit) const;
 
     void buildStaticTables();
 

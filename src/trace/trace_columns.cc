@@ -93,14 +93,22 @@ TraceColumns::toInstructions() const
     return out;
 }
 
-TraceColumns
-TraceColumns::fromInstructions(const std::vector<Instruction> &instrs)
+void
+TraceColumns::assignConcat(const TraceColumns &head, const TraceColumns &tail)
 {
-    TraceColumns cols;
-    cols.reserve(instrs.size());
-    for (const Instruction &instr : instrs)
-        cols.append(instr);
-    return cols;
+    clear();
+    reserve(head.size() + tail.size());
+    appendSlice(head, 0, head.size());
+    appendSlice(tail, 0, tail.size());
+    const int32_t offset = static_cast<int32_t>(head.size());
+    for (size_t i = head.size(); i < size(); ++i) {
+        if (srcDep0[i] >= 0)
+            srcDep0[i] += offset;
+        if (srcDep1[i] >= 0)
+            srcDep1[i] += offset;
+        if (memDep[i] >= 0)
+            memDep[i] += offset;
+    }
 }
 
 } // namespace concorde

@@ -1,17 +1,19 @@
 /**
  * @file
- * Columnar (structure-of-arrays) trace layout for the cold analysis path.
+ * The one trace layout: columnar (structure-of-arrays) storage for
+ * every production path -- trace generation, trace analysis, the
+ * analytical models, the TAO baseline, and the fast cycle-level
+ * simulator.
  *
- * The per-instruction sweeps -- trace analysis, the ROB/LSQ analytical
- * models, window counting -- each touch only a few Instruction fields, so
- * the array-of-structs layout drags ~40 bytes per instruction through the
- * cache per pass. TraceColumns stores each field in its own parallel
+ * The per-instruction sweeps each touch only a few Instruction fields, so
+ * an array-of-structs layout would drag ~40 bytes per instruction through
+ * the cache per pass. TraceColumns stores each field in its own parallel
  * array: pc, memAddr (plus the derived instruction-cache line index),
  * dependency indices, type, and branch metadata, so a pass streams only
  * the columns it reads. Element i of every column describes dynamic
- * instruction i; get()/toInstructions() reconstruct the AoS record
- * bitwise for consumers that still want it (the reference simulator, the
- * TAO baseline, dataset labeling).
+ * instruction i. get()/toInstructions() reconstruct the row record
+ * bitwise; only the two row-based reference oracles read rows
+ * (simulateTraceReference and AnalyzerCarryState's per-side analyses).
  */
 
 #ifndef CONCORDE_TRACE_TRACE_COLUMNS_HH
@@ -26,7 +28,7 @@
 namespace concorde
 {
 
-/** SoA mirror of std::vector<Instruction>; one entry per column. */
+/** One vector per Instruction field; entry i of each is instruction i. */
 struct TraceColumns
 {
     std::vector<uint64_t> pc;
@@ -51,12 +53,19 @@ struct TraceColumns
     /** Append entries [begin, end) of another column set. */
     void appendSlice(const TraceColumns &other, size_t begin, size_t end);
 
-    /** Reconstruct the AoS record of entry i (bitwise round trip). */
+    /**
+     * Replace the contents with `head` followed by `tail`, shifting the
+     * tail's dependency indices by head.size() so they index the
+     * concatenation (the warmup + region trace the simulator runs).
+     * Reuses this instance's capacity.
+     */
+    void assignConcat(const TraceColumns &head, const TraceColumns &tail);
+
+    /** Reconstruct the row record of entry i (bitwise round trip). */
     Instruction get(size_t i) const;
 
+    /** All entries as rows, for the row-based reference oracles. */
     std::vector<Instruction> toInstructions() const;
-    static TraceColumns fromInstructions(
-        const std::vector<Instruction> &instrs);
 
     bool isLoad(size_t i) const { return type[i] == InstrType::Load; }
     bool isStore(size_t i) const { return type[i] == InstrType::Store; }

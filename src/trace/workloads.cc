@@ -486,7 +486,7 @@ programModel(int program_id)
     return *slot;
 }
 
-std::vector<Instruction>
+TraceColumns
 generateRegion(const RegionSpec &spec)
 {
     return programModel(spec.programId).generateRegion(spec);

@@ -37,7 +37,7 @@ const std::vector<ProgramInfo> &workloadCorpus();
 const ProgramModel &programModel(int program_id);
 
 /** Materialize the instructions of a region. */
-std::vector<Instruction> generateRegion(const RegionSpec &spec);
+TraceColumns generateRegion(const RegionSpec &spec);
 
 /**
  * Sample a random region of the given length: program uniform over traces

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "analysis/memory_state_machine.hh"
 #include "analysis/trace_analyzer.hh"
 #include "trace/workloads.hh"
@@ -32,12 +34,21 @@ makeAlu()
     return instr;
 }
 
+TraceColumns
+traceOf(std::initializer_list<Instruction> instrs)
+{
+    TraceColumns cols;
+    for (const Instruction &instr : instrs)
+        cols.append(instr);
+    return cols;
+}
+
 TEST(LoadLineIndex, CsrIntegrity)
 {
-    std::vector<Instruction> region = {
+    const TraceColumns region = traceOf({
         makeLoad(0x1000), makeAlu(), makeLoad(0x1008), makeLoad(0x2000),
         makeAlu(), makeLoad(0x1010),
-    };
+    });
     const auto index = LoadLineIndex::build(region);
     EXPECT_EQ(index.numLines, 2u);
     EXPECT_EQ(index.lineIdOf[1], -1);
@@ -60,24 +71,24 @@ TEST(MemoryStateMachine, PaperSameLineExample)
     // Two loads to one line; in-order cache sim said [RAM=200, L1=4].
     // Issued at cycles 0 and 1: both must complete at ~200 (the second
     // waits for the first fill) -- the motivating example of Section 3.1.
-    std::vector<Instruction> region = {makeLoad(0x5000), makeLoad(0x5008)};
+    const TraceColumns region = traceOf({makeLoad(0x5000), makeLoad(0x5008)});
     std::vector<int32_t> exec_lat = {200, 4};
     const auto index = LoadLineIndex::build(region);
     MemoryStateMachine machine(index, exec_lat);
 
-    const uint64_t first = machine.respCycle(0, 0, region[0]);
+    const uint64_t first = machine.respCycle(0, 0, region.isLoad(0));
     EXPECT_EQ(first, 200u);
-    const uint64_t second = machine.respCycle(1, 1, region[1]);
+    const uint64_t second = machine.respCycle(1, 1, region.isLoad(1));
     EXPECT_EQ(second, 200u) << "same-line response must not precede fill";
 }
 
 TEST(MemoryStateMachine, ResponsesNonDecreasingPerLine)
 {
-    std::vector<Instruction> region;
+    TraceColumns region;
     std::vector<int32_t> exec_lat;
     Rng rng(3);
     for (int i = 0; i < 200; ++i) {
-        region.push_back(makeLoad(0x7000 + (i % 4) * 64));
+        region.append(makeLoad(0x7000 + (i % 4) * 64));
         exec_lat.push_back(static_cast<int32_t>(rng.nextBounded(200)) + 4);
     }
     const auto index = LoadLineIndex::build(region);
@@ -86,9 +97,9 @@ TEST(MemoryStateMachine, ResponsesNonDecreasingPerLine)
     uint64_t req = 0;
     for (size_t i = 0; i < region.size(); ++i) {
         req += rng.nextBounded(5);
-        const uint64_t resp = machine.respCycle(req, i, region[i]);
+        const uint64_t resp = machine.respCycle(req, i, region.isLoad(i));
         auto [it, inserted] =
-            last_resp.try_emplace(region[i].dataLine(), resp);
+            last_resp.try_emplace(region.dataLine(i), resp);
         if (!inserted) {
             EXPECT_GE(resp, it->second);
             it->second = resp;
@@ -98,23 +109,23 @@ TEST(MemoryStateMachine, ResponsesNonDecreasingPerLine)
 
 TEST(MemoryStateMachine, NonLoadsPassThrough)
 {
-    std::vector<Instruction> region = {makeAlu()};
+    const TraceColumns region = traceOf({makeAlu()});
     std::vector<int32_t> exec_lat = {7};
     const auto index = LoadLineIndex::build(region);
     MemoryStateMachine machine(index, exec_lat);
-    EXPECT_EQ(machine.respCycle(10, 0, region[0]), 17u);
+    EXPECT_EQ(machine.respCycle(10, 0, region.isLoad(0)), 17u);
 }
 
 TEST(MemoryStateMachine, ResetClearsState)
 {
-    std::vector<Instruction> region = {makeLoad(0x5000), makeLoad(0x5008)};
+    const TraceColumns region = traceOf({makeLoad(0x5000), makeLoad(0x5008)});
     std::vector<int32_t> exec_lat = {200, 4};
     const auto index = LoadLineIndex::build(region);
     MemoryStateMachine machine(index, exec_lat);
-    machine.respCycle(0, 0, region[0]);
-    machine.respCycle(1, 1, region[1]);
+    machine.respCycle(0, 0, region.isLoad(0));
+    machine.respCycle(1, 1, region.isLoad(1));
     machine.reset();
-    EXPECT_EQ(machine.respCycle(0, 0, region[0]), 200u);
+    EXPECT_EQ(machine.respCycle(0, 0, region.isLoad(0)), 200u);
 }
 
 TEST(MemoryStateMachine, AccessCountersFollowConsumptionOrder)
@@ -122,15 +133,15 @@ TEST(MemoryStateMachine, AccessCountersFollowConsumptionOrder)
     // Three same-line loads with in-order latencies [200, 4, 4]: the state
     // machine hands out latencies by access number, so a later request
     // still gets the right exec time.
-    std::vector<Instruction> region = {
-        makeLoad(0x9000), makeLoad(0x9008), makeLoad(0x9010)};
+    const TraceColumns region = traceOf(
+        {makeLoad(0x9000), makeLoad(0x9008), makeLoad(0x9010)});
     std::vector<int32_t> exec_lat = {200, 4, 4};
     const auto index = LoadLineIndex::build(region);
     MemoryStateMachine machine(index, exec_lat);
-    EXPECT_EQ(machine.respCycle(0, 0, region[0]), 200u);
+    EXPECT_EQ(machine.respCycle(0, 0, region.isLoad(0)), 200u);
     // Issued long after the fill: plain L1 hit.
-    EXPECT_EQ(machine.respCycle(500, 1, region[1]), 504u);
-    EXPECT_EQ(machine.respCycle(600, 2, region[2]), 604u);
+    EXPECT_EQ(machine.respCycle(500, 1, region.isLoad(1)), 504u);
+    EXPECT_EQ(machine.respCycle(600, 2, region.isLoad(2)), 604u);
 }
 
 TEST(RegionAnalysis, ExecLatenciesMatchLevels)
@@ -138,13 +149,13 @@ TEST(RegionAnalysis, ExecLatenciesMatchLevels)
     RegionSpec spec{programIdByCode("S7"), 0, 2, 2};
     RegionAnalysis analysis(spec, 1);
     const auto &dside = analysis.dside(MemoryConfig{});
-    const auto &region = analysis.instrs();
+    const TraceColumns &region = analysis.regionColumns();
     ASSERT_EQ(dside.execLat.size(), region.size());
     for (size_t i = 0; i < region.size(); ++i) {
-        if (region[i].isLoad()) {
+        if (region.isLoad(i)) {
             EXPECT_EQ(dside.execLat[i], loadLatency(dside.loadLevel[i]));
         } else {
-            EXPECT_EQ(dside.execLat[i], fixedLatency(region[i].type));
+            EXPECT_EQ(dside.execLat[i], fixedLatency(region.type[i]));
         }
     }
 }
@@ -154,10 +165,10 @@ TEST(RegionAnalysis, IsideNewLineFlags)
     RegionSpec spec{programIdByCode("O2"), 0, 0, 1};
     RegionAnalysis analysis(spec, 0);
     const auto &iside = analysis.iside(MemoryConfig{});
-    const auto &region = analysis.instrs();
+    const TraceColumns &region = analysis.regionColumns();
     EXPECT_EQ(iside.newLine[0], 1);
     for (size_t i = 1; i < region.size(); ++i) {
-        if (region[i].instLine() == region[i - 1].instLine())
+        if (region.instLine[i] == region.instLine[i - 1])
             EXPECT_EQ(iside.newLine[i], 0);
         else
             EXPECT_EQ(iside.newLine[i], 1);
@@ -201,8 +212,8 @@ TEST(RegionAnalysis, BiggerCachesFasterLoads)
     uint64_t small_sum = 0, big_sum = 0;
     const auto &small_side = analysis.dside(small_cfg);
     const auto &big_side = analysis.dside(big_cfg);
-    for (size_t i = 0; i < analysis.instrs().size(); ++i) {
-        if (analysis.instrs()[i].isLoad()) {
+    for (size_t i = 0; i < analysis.regionSize(); ++i) {
+        if (analysis.regionColumns().isLoad(i)) {
             small_sum += small_side.execLat[i];
             big_sum += big_side.execLat[i];
         }
@@ -219,8 +230,8 @@ TEST(RegionAnalysis, PrefetchImprovesStreamingLoads)
     uint64_t off_sum = 0, on_sum = 0;
     const auto &off_side = analysis.dside(off);
     const auto &on_side = analysis.dside(on);
-    for (size_t i = 0; i < analysis.instrs().size(); ++i) {
-        if (analysis.instrs()[i].isLoad()) {
+    for (size_t i = 0; i < analysis.regionSize(); ++i) {
+        if (analysis.regionColumns().isLoad(i)) {
             off_sum += off_side.execLat[i];
             on_sum += on_side.execLat[i];
         }
@@ -250,12 +261,11 @@ TEST(RegionAnalysis, WarmupComesFromPrecedingChunks)
 {
     RegionSpec spec{programIdByCode("P1"), 0, 5, 2};
     RegionAnalysis analysis(spec, 2);
-    EXPECT_EQ(analysis.warmupInstrs().size(), 2u * kChunkLen);
+    EXPECT_EQ(analysis.warmupSize(), 2u * kChunkLen);
     // Warmup content equals chunks 3..4 of the same trace.
     RegionSpec warm{spec.programId, spec.traceId, 3, 2};
-    const auto expect = generateRegion(warm);
-    for (size_t i = 0; i < expect.size(); ++i)
-        ASSERT_EQ(analysis.warmupInstrs()[i].pc, expect[i].pc);
+    const TraceColumns expect = generateRegion(warm);
+    EXPECT_EQ(analysis.warmupColumns().pc, expect.pc);
 }
 
 } // anonymous namespace

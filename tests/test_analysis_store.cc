@@ -101,12 +101,12 @@ TEST(AnalysisStore, AcquireSharesOneSnapshot)
     EXPECT_EQ(stats.entries, 1u);
     // Weight = region + warmup instructions.
     EXPECT_EQ(stats.residentInstructions,
-              first->instrs().size() + first->warmupInstrs().size());
+              first->regionSize() + first->warmupSize());
 
     // A different warmup convention is a different key.
     const auto other = store.acquire(region, 0);
     EXPECT_NE(other.get(), first.get());
-    EXPECT_TRUE(other->warmupInstrs().empty());
+    EXPECT_EQ(other->warmupSize(), 0u);
 }
 
 TEST(AnalysisStore, LruEvictionRespectsInstructionBound)
@@ -137,7 +137,7 @@ TEST(AnalysisStore, LruEvictionRespectsInstructionBound)
     EXPECT_EQ(store.stats().built, 4u);
 
     // The evicted snapshot still answers (live references survive).
-    EXPECT_EQ(a->instrs().size(), a2->instrs().size());
+    EXPECT_EQ(a->regionSize(), a2->regionSize());
 
     store.clear();
     EXPECT_EQ(store.stats().entries, 0u);
@@ -152,6 +152,7 @@ TEST(AnalysisStore, ConcurrentSameKeyHammerAnalyzesOnce)
     constexpr int kThreads = 8;
     std::atomic<int> ready{0};
     std::vector<std::shared_ptr<RegionAnalysis>> got(kThreads);
+    std::vector<SimResult> sims(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -165,13 +166,29 @@ TEST(AnalysisStore, ConcurrentSameKeyHammerAnalyzesOnce)
             const UarchParams params = UarchParams::armN1();
             (void)got[t]->dside(params.memory);
             (void)got[t]->branches(params.branch);
+            // The serve fallback's pattern: every thread simulates the
+            // shared analysis with its own scratch, racing to build the
+            // cached combined trace and flags layout.
+            SimScratch scratch;
+            sims[t] = simulateRegion(params, *got[t], 0, &scratch);
         });
     }
     for (auto &thread : threads)
         thread.join();
 
-    for (int t = 1; t < kThreads; ++t)
+    for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(got[t].get(), got[0].get());
+        EXPECT_EQ(sims[t].cycles, sims[0].cycles);
+        EXPECT_EQ(sims[t].instructions, sims[0].instructions);
+        EXPECT_EQ(sims[t].avgRobOccupancy, sims[0].avgRobOccupancy);
+        EXPECT_EQ(sims[t].avgRenameQOccupancy, sims[0].avgRenameQOccupancy);
+        EXPECT_EQ(sims[t].avgLqOccupancy, sims[0].avgLqOccupancy);
+        EXPECT_EQ(sims[t].branchMispredicts, sims[0].branchMispredicts);
+        EXPECT_EQ(sims[t].actualLoadLatencySum,
+                  sims[0].actualLoadLatencySum);
+        EXPECT_EQ(sims[t].loadCount, sims[0].loadCount);
+    }
+    EXPECT_EQ(sims[0].instructions, got[0]->regionSize());
     const AnalysisStoreStats stats = store.stats();
     EXPECT_EQ(stats.built, 1u);
     EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kThreads));

@@ -21,18 +21,17 @@ namespace concorde
 namespace
 {
 
-std::vector<Instruction>
-chainRegion(size_t n, int dep_dist, int32_t lat_type_alu = 1)
+TraceColumns
+chainRegion(size_t n, int dep_dist)
 {
-    (void)lat_type_alu;
-    std::vector<Instruction> region(n);
+    TraceColumns region;
     for (size_t i = 0; i < n; ++i) {
-        region[i].type = InstrType::IntAlu;
-        region[i].pc = 0x1000 + (i % 16) * 4;
-        if (dep_dist > 0 && i >= static_cast<size_t>(dep_dist)) {
-            region[i].srcDeps[0] =
-                static_cast<int32_t>(i) - dep_dist;
-        }
+        Instruction instr;
+        instr.type = InstrType::IntAlu;
+        instr.pc = 0x1000 + (i % 16) * 4;
+        if (dep_dist > 0 && i >= static_cast<size_t>(dep_dist))
+            instr.srcDeps[0] = static_cast<int32_t>(i) - dep_dist;
+        region.append(instr);
     }
     return region;
 }
@@ -114,7 +113,7 @@ TEST(RobModel, IsbDrainsPipeline)
 {
     auto region = chainRegion(2000, 0);
     for (size_t i = 100; i < region.size(); i += 100)
-        region[i].type = InstrType::Isb;
+        region.type[i] = InstrType::Isb;
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 1);
     const auto with_isb = runRobModel(region, index, lat, 256, 400, false);
@@ -136,7 +135,7 @@ TEST_P(RobMonotonicity, ThroughputNonDecreasingInRobSize)
     double prev = 0.0;
     for (int rob : {1, 4, 16, 64, 256, 1024}) {
         const auto result =
-            runRobModel(analysis.instrs(), analysis.loadIndex(),
+            runRobModel(analysis.regionColumns(), analysis.loadIndex(),
                         dside.execLat, rob, 400, false);
         EXPECT_GE(result.overallIpc, prev * 0.999)
             << "ROB " << rob;
@@ -159,11 +158,13 @@ TEST(LsqModel, NoLoadsMeansUnbounded)
 
 TEST(LsqModel, QueueOfOneSerializesLoads)
 {
-    std::vector<Instruction> region(2000);
-    for (size_t i = 0; i < region.size(); ++i) {
-        region[i].type = InstrType::Load;
-        region[i].memAddr = 0x100000 + i * 64;
-        region[i].pc = 0x1000;
+    TraceColumns region;
+    for (size_t i = 0; i < 2000; ++i) {
+        Instruction instr;
+        instr.type = InstrType::Load;
+        instr.memAddr = 0x100000 + i * 64;
+        instr.pc = 0x1000;
+        region.append(instr);
     }
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 4);
@@ -180,7 +181,7 @@ TEST(LsqModel, MonotoneInQueueSize)
     double prev_mean = 0.0;
     for (int lq : {1, 4, 16, 64, 256}) {
         const auto thr =
-            runLoadQueueModel(analysis.instrs(), analysis.loadIndex(),
+            runLoadQueueModel(analysis.regionColumns(), analysis.loadIndex(),
                               dside.execLat, lq, 400);
         double sum = 0;
         for (double t : thr)
@@ -192,12 +193,13 @@ TEST(LsqModel, MonotoneInQueueSize)
 
 TEST(SqModel, StoresSerializeAtQueueOne)
 {
-    std::vector<Instruction> region(800);
-    for (auto &instr : region) {
-        instr.type = InstrType::Store;
-        instr.memAddr = 0x100000;
-        instr.pc = 0x1000;
-    }
+    Instruction store;
+    store.type = InstrType::Store;
+    store.memAddr = 0x100000;
+    store.pc = 0x1000;
+    TraceColumns region;
+    for (int i = 0; i < 800; ++i)
+        region.append(store);
     const auto thr = runStoreQueueModel(region, 1, 400);
     EXPECT_NEAR(thr.back(), 1.0 / fixedLatency(InstrType::Store), 0.01);
 }
@@ -273,7 +275,7 @@ TEST(FrontendModels, FillsMonotoneInSlots)
     double prev = 0.0;
     for (int fills : {1, 2, 4, 8, 16, 32}) {
         const auto thr =
-            runIcacheFillsModel(analysis.instrs(), iside, fills, 400);
+            runIcacheFillsModel(iside, fills, 400);
         double sum = 0;
         for (double t : thr)
             sum += t;
@@ -290,7 +292,7 @@ TEST(FrontendModels, BuffersMonotone)
     double prev = 0.0;
     for (int bufs : {1, 2, 4, 8}) {
         const auto thr =
-            runFetchBufferModel(analysis.instrs(), iside, bufs, 400);
+            runFetchBufferModel(iside, bufs, 400);
         double sum = 0;
         for (double t : thr)
             sum += t;
@@ -305,8 +307,7 @@ TEST(FrontendModels, AllHitsAreUnbounded)
     RegionSpec spec{programIdByCode("O1"), 0, 2, 1};
     RegionAnalysis analysis(spec, 1);
     const auto &iside = analysis.iside(MemoryConfig{});
-    const auto thr =
-        runIcacheFillsModel(analysis.instrs(), iside, 4, 400);
+    const auto thr = runIcacheFillsModel(iside, 4, 400);
     EXPECT_DOUBLE_EQ(thr.back(), kMaxThroughput);
 }
 

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/tao.hh"
 #include "sim/o3_core.hh"
@@ -98,6 +101,33 @@ TEST(Tao, SaveLoadRoundTrip)
     RegionSpec spec{programIdByCode("P8"), 0, 1, 1};
     RegionAnalysis a(spec, 1), b(spec, 1);
     EXPECT_EQ(model.predictCpi(a), loaded.predictCpi(b));
+    std::remove(path.c_str());
+}
+
+/** Overwrite the uint64 header field at `offset` of a saved model. */
+void
+patchHeader(const std::string &path, std::streamoff offset, uint64_t value)
+{
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(offset);
+    file.write(reinterpret_cast<const char *>(&value), sizeof(value));
+    ASSERT_TRUE(file.good());
+}
+
+TEST(Tao, LoadRejectsHeaderThatDisagreesWithWeights)
+{
+    // Weights saved at hidden=8 under a header claiming hidden=64 would
+    // send predictCpi past the end of every gate row; load must refuse.
+    TaoModel model(tinyConfig(), UarchParams::armN1());
+    const std::string path = testing::TempDir() + "concorde_forged_tao.bin";
+    model.save(path);
+    patchHeader(path, 0, 64);       // hidden
+    EXPECT_THROW(TaoModel::load(path), std::runtime_error);
+
+    model.save(path);
+    patchHeader(path, 8, 0);        // seqLen
+    EXPECT_THROW(TaoModel::load(path), std::runtime_error);
     std::remove(path.c_str());
 }
 

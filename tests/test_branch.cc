@@ -137,10 +137,10 @@ TEST(MispredictFlags, OnlyBranchesFlagged)
     const auto flags = computeMispredicts({}, region, config, 1);
     ASSERT_EQ(flags.size(), region.size());
     for (size_t i = 0; i < region.size(); ++i) {
-        if (!region[i].isBranch()) {
+        if (!region.isBranch(i)) {
             EXPECT_EQ(flags[i], 0);
         }
-        if (region[i].branchKind == BranchKind::DirectUncond) {
+        if (region.branchKind[i] == BranchKind::DirectUncond) {
             EXPECT_EQ(flags[i], 0) << "unconditional cannot mispredict";
         }
     }
@@ -186,8 +186,8 @@ TEST(MispredictFlags, SimpleRateMatchesParameter)
     const auto flags = computeMispredicts({}, region, config, 3);
     uint64_t branches = 0, misses = 0;
     for (size_t i = 0; i < region.size(); ++i) {
-        if (region[i].isBranch()
-            && region[i].branchKind != BranchKind::DirectUncond) {
+        if (region.isBranch(i)
+            && region.branchKind[i] != BranchKind::DirectUncond) {
             ++branches;
             misses += flags[i];
         }
@@ -210,8 +210,8 @@ TEST_P(RealProgramTage, RatesAreInPlausibleBand)
     const auto flags = computeMispredicts({}, region, config, 5);
     uint64_t branches = 0, misses = 0;
     for (size_t i = 0; i < region.size(); ++i) {
-        if (region[i].isBranch()
-            && region[i].branchKind != BranchKind::DirectUncond) {
+        if (region.isBranch(i)
+            && region.branchKind[i] != BranchKind::DirectUncond) {
             ++branches;
             misses += flags[i];
         }

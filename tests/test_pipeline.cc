@@ -171,12 +171,12 @@ TEST(BoundaryStitching, EveryChunkSplitMatchesUnsplitRun)
     whole.traceId = span.traceId;
     whole.startChunk = span.startChunk;
     whole.numChunks = static_cast<uint32_t>(span.numChunks);
-    const auto instrs = model.generateRegion(whole);
+    const auto instrs = model.generateRegion(whole).toInstructions();
 
     RegionSpec warm = whole;
     warm.numChunks = 2;
     warm.startChunk = span.startChunk - 2;
-    const auto warmup = model.generateRegion(warm);
+    const auto warmup = model.generateRegion(warm).toInstructions();
 
     // One TAGE/prefetch-off point and one Simple/prefetch-on point, so
     // both predictor kinds and the prefetcher path cross boundaries.
@@ -223,8 +223,9 @@ TEST(BoundaryStitching, CarryMatchesRegionAnalysisConvention)
     const BranchAnalysis &ref_b = reference.branches(params.branch);
 
     const FullAnalyses carried = analyzeWithSplits(
-        span, reference.warmupInstrs(), reference.instrs(), params,
-        {reference.instrs().size()});
+        span, reference.warmupColumns().toInstructions(),
+        reference.regionColumns().toInstructions(), params,
+        {reference.regionSize()});
     EXPECT_EQ(carried.dside.execLat, ref_d.execLat);
     EXPECT_EQ(carried.dside.loadLevel, ref_d.loadLevel);
     EXPECT_EQ(carried.iside.newLine, ref_i.newLine);
@@ -243,26 +244,28 @@ TEST(MemoryStateMachineSnapshot, SplitRunMatchesUnsplitRun)
     RegionAnalysis analysis(spec, 2);
     const UarchParams params = UarchParams::armN1();
     const auto &exec_lat = analysis.dside(params.memory).execLat;
-    const auto &instrs = analysis.instrs();
+    const TraceColumns &instrs = analysis.regionColumns();
 
     // Reference: one unsplit model run with a synthetic issue schedule.
     MemoryStateMachine full(analysis.loadIndex(), exec_lat);
     std::vector<uint64_t> reference(instrs.size());
     for (size_t i = 0; i < instrs.size(); ++i)
-        reference[i] = full.respCycle(i / 2, i, instrs[i]);
+        reference[i] = full.respCycle(i / 2, i, instrs.isLoad(i));
 
     for (size_t split : {size_t(1), instrs.size() / 3,
                          instrs.size() / 2, instrs.size() - 1}) {
         MemoryStateMachine head(analysis.loadIndex(), exec_lat);
         for (size_t i = 0; i < split; ++i)
-            EXPECT_EQ(head.respCycle(i / 2, i, instrs[i]), reference[i]);
+            EXPECT_EQ(head.respCycle(i / 2, i, instrs.isLoad(i)),
+                      reference[i]);
 
         // Resume the suffix on a fresh machine from the snapshot.
         const MemoryStateMachine::Snapshot state = head.snapshot();
         MemoryStateMachine tail(analysis.loadIndex(), exec_lat);
         tail.restore(state);
         for (size_t i = split; i < instrs.size(); ++i)
-            EXPECT_EQ(tail.respCycle(i / 2, i, instrs[i]), reference[i]);
+            EXPECT_EQ(tail.respCycle(i / 2, i, instrs.isLoad(i)),
+                      reference[i]);
     }
 }
 

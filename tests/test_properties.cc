@@ -106,7 +106,7 @@ TEST(Properties, StitchedAnalysisInvariantToRandomSplits)
         const RegionSpec spec = sampleRegion(rng, 4);
         const UarchParams params = UarchParams::sampleRandom(rng);
         const ProgramModel &model = programModel(spec.programId);
-        const auto instrs = model.generateRegion(spec);
+        const auto instrs = model.generateRegion(spec).toInstructions();
         const uint64_t seed =
             branchSeedFor(spec.programId, spec.traceId, spec.startChunk);
 
@@ -189,13 +189,8 @@ TEST(Properties, TraceGenerationIsDeterministic)
         const auto b = model.generateRegion(spec);
         ASSERT_EQ(a.size(), b.size());
         ASSERT_EQ(a.size(), spec.numInstructions());
-        for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].pc, b[i].pc);
-            EXPECT_EQ(a[i].memAddr, b[i].memAddr);
-            EXPECT_EQ(static_cast<int>(a[i].type),
-                      static_cast<int>(b[i].type));
-            if (a[i].pc != b[i].pc || a[i].memAddr != b[i].memAddr)
-                break;
-        }
+        EXPECT_EQ(a.pc, b.pc);
+        EXPECT_EQ(a.memAddr, b.memAddr);
+        EXPECT_EQ(a.type, b.type);
     }
 }

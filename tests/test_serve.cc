@@ -326,8 +326,10 @@ TEST(BatchingQueue, CallbackCompletionForm)
 
 TEST(BatchingQueue, HandlerExceptionBecomesInternalError)
 {
+    // A 30 s max-age: the 4th submit dispatches the batch by size, so a
+    // stall between submits cannot flush a partial batch.
     BatchingQueue queue(
-        uniformBatching(4, std::chrono::microseconds(100)),
+        uniformBatching(4, std::chrono::seconds(30)),
         [](const std::vector<PredictionRequest> &)
             -> std::vector<PredictResponse> {
             throw std::runtime_error("model exploded");

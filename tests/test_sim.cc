@@ -14,36 +14,38 @@ namespace concorde
 namespace
 {
 
-std::vector<Instruction>
+TraceColumns
 aluTrace(size_t n, int dep_dist)
 {
-    std::vector<Instruction> region(n);
+    TraceColumns region;
     for (size_t i = 0; i < n; ++i) {
-        region[i].type = InstrType::IntAlu;
-        region[i].pc = 0x1000 + (i % 64) * 4;
-        if (dep_dist > 0 && i >= static_cast<size_t>(dep_dist)) {
-            region[i].srcDeps[0] =
-                static_cast<int32_t>(i) - dep_dist;
-        }
+        Instruction instr;
+        instr.type = InstrType::IntAlu;
+        instr.pc = 0x1000 + (i % 64) * 4;
+        if (dep_dist > 0 && i >= static_cast<size_t>(dep_dist))
+            instr.srcDeps[0] = static_cast<int32_t>(i) - dep_dist;
+        region.append(instr);
     }
     return region;
 }
 
-std::vector<Instruction>
+TraceColumns
 loadTrace(size_t n, size_t lines)
 {
-    std::vector<Instruction> region(n);
+    TraceColumns region;
     for (size_t i = 0; i < n; ++i) {
-        region[i].type = InstrType::Load;
-        region[i].pc = 0x1000 + (i % 64) * 4;
-        region[i].memAddr = 0x100000 + (i % lines) * 64;
+        Instruction instr;
+        instr.type = InstrType::Load;
+        instr.pc = 0x1000 + (i % 64) * 4;
+        instr.memAddr = 0x100000 + (i % lines) * 64;
+        region.append(instr);
     }
     return region;
 }
 
 SimResult
-simPlain(const UarchParams &params, const std::vector<Instruction> &warmup,
-         const std::vector<Instruction> &region)
+simPlain(const UarchParams &params, const TraceColumns &warmup,
+         const TraceColumns &region)
 {
     return simulateTrace(params, warmup, region,
                          std::vector<uint8_t>(region.size(), 0));
@@ -122,8 +124,8 @@ TEST(Sim, MispredictsCostCycles)
     const UarchParams n1 = UarchParams::armN1();
     auto region = aluTrace(8000, 0);
     for (size_t i = 25; i < region.size(); i += 50) {
-        region[i].type = InstrType::Branch;
-        region[i].branchKind = BranchKind::DirectCond;
+        region.type[i] = InstrType::Branch;
+        region.branchKind[i] = BranchKind::DirectCond;
     }
     std::vector<uint8_t> clean(region.size(), 0);
     std::vector<uint8_t> noisy(region.size(), 0);
@@ -141,7 +143,7 @@ TEST(Sim, IsbsDrainThePipeline)
     auto region = aluTrace(8000, 0);
     auto with_isb = region;
     for (size_t i = 32; i < with_isb.size(); i += 64)
-        with_isb[i].type = InstrType::Isb;
+        with_isb.type[i] = InstrType::Isb;
     const SimResult base = simPlain(n1, {}, region);
     const SimResult drained = simPlain(n1, {}, with_isb);
     EXPECT_GT(drained.cpi(), base.cpi() * 1.15);
@@ -152,22 +154,23 @@ TEST(Sim, StoreForwardingBeatsCacheMiss)
     const UarchParams n1 = UarchParams::armN1();
     // Loads that read a just-written address; forwarding keeps them fast
     // even though the lines are cold.
-    std::vector<Instruction> region(8000);
-    for (size_t i = 0; i < region.size(); ++i) {
-        region[i].pc = 0x1000 + (i % 64) * 4;
+    TraceColumns region;
+    for (size_t i = 0; i < 8000; ++i) {
+        Instruction instr;
+        instr.pc = 0x1000 + (i % 64) * 4;
         if (i % 2 == 0) {
-            region[i].type = InstrType::Store;
-            region[i].memAddr = 0x4000000 + i * 64;
+            instr.type = InstrType::Store;
+            instr.memAddr = 0x4000000 + i * 64;
         } else {
-            region[i].type = InstrType::Load;
-            region[i].memAddr = region[i - 1].memAddr;
-            region[i].memDep = static_cast<int32_t>(i - 1);
+            instr.type = InstrType::Load;
+            instr.memAddr = region.memAddr[i - 1];
+            instr.memDep = static_cast<int32_t>(i - 1);
         }
+        region.append(instr);
     }
     const SimResult forwarded = simPlain(n1, {}, region);
     auto no_fwd = region;
-    for (auto &instr : no_fwd)
-        instr.memDep = -1;
+    no_fwd.memDep.assign(no_fwd.size(), -1);
     const SimResult direct = simPlain(n1, {}, no_fwd);
     EXPECT_LT(forwarded.cpi(), direct.cpi());
 }
@@ -216,7 +219,7 @@ TEST(Sim, StatisticsAreSane)
     RegionAnalysis analysis(spec, 1);
     const SimResult result =
         simulateRegion(UarchParams::armN1(), analysis);
-    EXPECT_EQ(result.instructions, analysis.instrs().size());
+    EXPECT_EQ(result.instructions, analysis.regionSize());
     EXPECT_GT(result.cycles, 0u);
     EXPECT_GT(result.avgRobOccupancy, 0.0);
     EXPECT_LE(result.avgRobOccupancy, 100.0);

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "analysis/trace_analyzer.hh"
@@ -25,27 +24,31 @@ namespace concorde
 namespace
 {
 
-std::vector<Instruction>
+TraceColumns
 aluTrace(size_t n, int dep_dist)
 {
-    std::vector<Instruction> region(n);
+    TraceColumns region;
     for (size_t i = 0; i < n; ++i) {
-        region[i].type = InstrType::IntAlu;
-        region[i].pc = 0x1000 + (i % 64) * 4;
+        Instruction instr;
+        instr.type = InstrType::IntAlu;
+        instr.pc = 0x1000 + (i % 64) * 4;
         if (dep_dist > 0 && i >= static_cast<size_t>(dep_dist))
-            region[i].srcDeps[0] = static_cast<int32_t>(i) - dep_dist;
+            instr.srcDeps[0] = static_cast<int32_t>(i) - dep_dist;
+        region.append(instr);
     }
     return region;
 }
 
-std::vector<Instruction>
+TraceColumns
 loadTrace(size_t n, size_t lines)
 {
-    std::vector<Instruction> region(n);
+    TraceColumns region;
     for (size_t i = 0; i < n; ++i) {
-        region[i].type = InstrType::Load;
-        region[i].pc = 0x1000 + (i % 64) * 4;
-        region[i].memAddr = 0x100000 + (i % lines) * 64;
+        Instruction instr;
+        instr.type = InstrType::Load;
+        instr.pc = 0x1000 + (i % 64) * 4;
+        instr.memAddr = 0x100000 + (i % lines) * 64;
+        region.append(instr);
     }
     return region;
 }
@@ -70,23 +73,24 @@ referenceRegion(const UarchParams &params, RegionAnalysis &analysis,
                 int window_k = 0)
 {
     const auto &branch_info = analysis.branches(params.branch);
-    return simulateTraceReference(params, analysis.warmupInstrs(),
-                                  analysis.instrs(), branch_info.mispredict,
-                                  window_k);
+    return simulateTraceReference(
+        params, analysis.warmupColumns().toInstructions(),
+        analysis.regionColumns().toInstructions(), branch_info.mispredict,
+        window_k);
 }
 
 TEST(SimLabeler, FastMatchesReferenceOnMicroTraces)
 {
     const UarchParams n1 = UarchParams::armN1();
-    const std::vector<std::vector<Instruction>> regions = {
+    const std::vector<TraceColumns> regions = {
         aluTrace(4000, 0), aluTrace(4000, 1), loadTrace(4000, 512),
     };
     SimScratch scratch;
     for (const auto &region : regions) {
         const std::vector<uint8_t> flags(region.size(), 0);
         const auto warm = loadTrace(2000, 256);
-        const SimResult ref =
-            simulateTraceReference(n1, warm, region, flags);
+        const SimResult ref = simulateTraceReference(
+            n1, warm.toInstructions(), region.toInstructions(), flags);
         const SimResult fresh = simulateTrace(n1, warm, region, flags);
         const SimResult reused =
             simulateTrace(n1, warm, region, flags, 0, &scratch);
@@ -101,13 +105,13 @@ TEST(SimLabeler, FastMatchesReferenceWithMispredictsAndWindows)
     auto region = aluTrace(6000, 0);
     std::vector<uint8_t> flags(region.size(), 0);
     for (size_t i = 25; i < region.size(); i += 50) {
-        region[i].type = InstrType::Branch;
-        region[i].branchKind = BranchKind::DirectCond;
+        region.type[i] = InstrType::Branch;
+        region.branchKind[i] = BranchKind::DirectCond;
         flags[i] = 1;
     }
     SimScratch scratch;
     const SimResult ref =
-        simulateTraceReference(n1, {}, region, flags, 500);
+        simulateTraceReference(n1, {}, region.toInstructions(), flags, 500);
     const SimResult fast =
         simulateTrace(n1, {}, region, flags, 500, &scratch);
     expectIdentical(ref, fast);
@@ -155,39 +159,58 @@ TEST(SimLabeler, CombinedTraceCacheMatchesPerCallRebuild)
 {
     Rng rng(77);
     RegionAnalysis analysis(sampleRegion(rng, 2), 1);
-    const auto &warm = analysis.warmupInstrs();
-    const auto &rows = analysis.instrs();
-    const auto &combined = analysis.combinedInstrs();
+    const TraceColumns &warm = analysis.warmupColumns();
+    const TraceColumns &region = analysis.regionColumns();
+    const TraceColumns &combined = analysis.combinedColumns();
+    const size_t offset = analysis.warmupSize();
+    ASSERT_GT(offset, 0u);
+    ASSERT_EQ(combined.size(), offset + region.size());
 
-    ASSERT_EQ(combined.size(), warm.size() + rows.size());
-    const int32_t offset = static_cast<int32_t>(warm.size());
-    for (size_t i = 0; i < warm.size(); ++i)
-        EXPECT_EQ(std::memcmp(&combined[i], &warm[i], sizeof(Instruction)),
-                  0);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        Instruction expect = rows[i];
-        for (int d = 0; d < kMaxSrcDeps; ++d) {
-            if (expect.srcDeps[d] >= 0)
-                expect.srcDeps[d] += offset;
-        }
-        if (expect.memDep >= 0)
-            expect.memDep += offset;
-        EXPECT_EQ(std::memcmp(&combined[offset + i], &expect,
-                              sizeof(Instruction)),
-                  0);
+    // Warmup prefix: every column equal to the warmup trace.
+    TraceColumns prefix;
+    prefix.appendSlice(combined, 0, offset);
+    EXPECT_EQ(prefix.pc, warm.pc);
+    EXPECT_EQ(prefix.memAddr, warm.memAddr);
+    EXPECT_EQ(prefix.instLine, warm.instLine);
+    EXPECT_EQ(prefix.srcDep0, warm.srcDep0);
+    EXPECT_EQ(prefix.srcDep1, warm.srcDep1);
+    EXPECT_EQ(prefix.memDep, warm.memDep);
+    EXPECT_EQ(prefix.type, warm.type);
+    EXPECT_EQ(prefix.branchKind, warm.branchKind);
+    EXPECT_EQ(prefix.taken, warm.taken);
+    EXPECT_EQ(prefix.targetId, warm.targetId);
+
+    // Region suffix: the region's entries with every present dependency
+    // shifted by warmupSize().
+    auto shifted = [offset](int32_t dep) {
+        return dep >= 0 ? dep + static_cast<int32_t>(offset) : dep;
+    };
+    for (size_t i = 0; i < region.size(); ++i) {
+        const size_t j = offset + i;
+        ASSERT_EQ(combined.pc[j], region.pc[i]);
+        ASSERT_EQ(combined.memAddr[j], region.memAddr[i]);
+        ASSERT_EQ(combined.instLine[j], region.instLine[i]);
+        ASSERT_EQ(combined.srcDep0[j], shifted(region.srcDep0[i]));
+        ASSERT_EQ(combined.srcDep1[j], shifted(region.srcDep1[i]));
+        ASSERT_EQ(combined.memDep[j], shifted(region.memDep[i]));
+        ASSERT_EQ(combined.type[j], region.type[i]);
+        ASSERT_EQ(combined.branchKind[j], region.branchKind[i]);
+        ASSERT_EQ(combined.taken[j], region.taken[i]);
+        ASSERT_EQ(combined.targetId[j], region.targetId[i]);
     }
 
+    // Flags: zero across the warmup, the region's mispredicts after it.
     const BranchConfig branch;
     const auto &flags = analysis.combinedFlags(branch);
     const auto &mispredict = analysis.branches(branch).mispredict;
     ASSERT_EQ(flags.size(), combined.size());
-    for (size_t i = 0; i < warm.size(); ++i)
+    for (size_t i = 0; i < offset; ++i)
         EXPECT_EQ(flags[i], 0);
     for (size_t i = 0; i < mispredict.size(); ++i)
-        EXPECT_EQ(flags[warm.size() + i], mispredict[i]);
+        EXPECT_EQ(flags[offset + i], mispredict[i]);
 
     // Cached: same object on every call.
-    EXPECT_EQ(&analysis.combinedInstrs(), &combined);
+    EXPECT_EQ(&analysis.combinedColumns(), &combined);
     EXPECT_EQ(&analysis.combinedFlags(branch), &flags);
 }
 
@@ -225,10 +248,10 @@ TEST(SimLabeler, EstimatedLoadLatencySumMatchesDirectLoop)
     };
     for (const MemoryConfig &mem : configs) {
         const auto &dside = provider.analysis().dside(mem);
-        const auto &rows = provider.analysis().instrs();
+        const TraceColumns &cols = provider.analysis().regionColumns();
         uint64_t direct = 0;
-        for (size_t i = 0; i < rows.size(); ++i) {
-            if (rows[i].isLoad())
+        for (size_t i = 0; i < cols.size(); ++i) {
+            if (cols.isLoad(i))
                 direct += static_cast<uint64_t>(dside.execLat[i]);
         }
         EXPECT_EQ(provider.estimatedLoadLatencySum(mem), direct);
@@ -242,19 +265,22 @@ TEST(SimLabelerDeathTest, RunawayGuardPanicsOnDeadlockedTrace)
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // A load whose memDep points at itself never wakes: the engine makes
     // no progress and must hit the runaway panic, on both paths.
-    std::vector<Instruction> region(4);
-    for (auto &instr : region) {
+    std::vector<Instruction> rows(4);
+    for (auto &instr : rows) {
         instr.type = InstrType::IntAlu;
         instr.pc = 0x1000;
     }
-    region[2].type = InstrType::Load;
-    region[2].memAddr = 0x2000;
-    region[2].memDep = 2;
+    rows[2].type = InstrType::Load;
+    rows[2].memAddr = 0x2000;
+    rows[2].memDep = 2;
+    TraceColumns region;
+    for (const Instruction &instr : rows)
+        region.append(instr);
     const std::vector<uint8_t> flags(region.size(), 0);
     const UarchParams n1 = UarchParams::armN1();
     EXPECT_DEATH(simulateTrace(n1, {}, region, flags),
                  "simulator runaway");
-    EXPECT_DEATH(simulateTraceReference(n1, {}, region, flags),
+    EXPECT_DEATH(simulateTraceReference(n1, {}, rows, flags),
                  "simulator runaway");
 }
 

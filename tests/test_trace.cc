@@ -37,6 +37,13 @@ TEST(Corpus, HasTwentyNinePrograms)
     EXPECT_EQ(spec, 10);
 }
 
+/** A generated region as rows, for the record-level properties below. */
+std::vector<Instruction>
+regionRows(const RegionSpec &spec)
+{
+    return generateRegion(spec).toInstructions();
+}
+
 TEST(Corpus, CodesResolve)
 {
     EXPECT_EQ(programIdByCode("P1"), 0);
@@ -54,8 +61,8 @@ TEST(Corpus, CodesResolve)
 TEST(Generator, DeterministicRegions)
 {
     RegionSpec spec{3, 1, 17, 4};
-    const auto a = generateRegion(spec);
-    const auto b = generateRegion(spec);
+    const auto a = regionRows(spec);
+    const auto b = regionRows(spec);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].pc, b[i].pc);
@@ -69,7 +76,7 @@ TEST(Generator, DeterministicRegions)
 TEST(Generator, RegionLengthMatchesSpec)
 {
     RegionSpec spec{0, 0, 0, 3};
-    EXPECT_EQ(generateRegion(spec).size(), 3u * kChunkLen);
+    EXPECT_EQ(regionRows(spec).size(), 3u * kChunkLen);
 }
 
 TEST(Generator, ChunksComposeIntoRegions)
@@ -79,9 +86,9 @@ TEST(Generator, ChunksComposeIntoRegions)
     RegionSpec two{5, 0, 10, 2};
     RegionSpec first{5, 0, 10, 1};
     RegionSpec second{5, 0, 11, 1};
-    const auto big = generateRegion(two);
-    const auto a = generateRegion(first);
-    const auto b = generateRegion(second);
+    const auto big = regionRows(two);
+    const auto a = regionRows(first);
+    const auto b = regionRows(second);
     ASSERT_EQ(big.size(), a.size() + b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(big[i].pc, a[i].pc);
@@ -100,8 +107,8 @@ TEST(Generator, TracesDiffer)
 {
     RegionSpec t0{2, 0, 5, 1};
     RegionSpec t1{2, 1, 5, 1};
-    const auto a = generateRegion(t0);
-    const auto b = generateRegion(t1);
+    const auto a = regionRows(t0);
+    const auto b = regionRows(t1);
     size_t same = 0;
     for (size_t i = 0; i < a.size(); ++i)
         same += a[i].pc == b[i].pc;
@@ -116,7 +123,7 @@ TEST_P(AllProgramsTest, RegionsAreWellFormed)
 {
     const int pid = GetParam();
     RegionSpec spec{pid, 0, 2, 2};
-    const auto region = generateRegion(spec);
+    const auto region = regionRows(spec);
     ASSERT_EQ(region.size(), 2u * kChunkLen);
 
     size_t loads = 0, stores = 0, branches = 0;
@@ -164,7 +171,7 @@ TEST_P(AllProgramsTest, StaticBlocksHaveStableOpcodes)
     // Same PC => same opcode class (static code property).
     const int pid = GetParam();
     RegionSpec spec{pid, 0, 0, 2};
-    const auto region = generateRegion(spec);
+    const auto region = regionRows(spec);
     std::map<uint64_t, InstrType> opcode_at;
     for (const auto &instr : region) {
         if (instr.isIsb())
@@ -202,7 +209,7 @@ TEST(Phases, ScatterPhaseTouchesMoreLines)
     auto distinct_lines = [&](uint64_t chunk) {
         RegionSpec spec{pid, 0, chunk, 1};
         std::set<uint64_t> lines;
-        for (const auto &instr : generateRegion(spec)) {
+        for (const auto &instr : regionRows(spec)) {
             if (instr.isLoad())
                 lines.insert(instr.dataLine());
         }
@@ -264,7 +271,7 @@ TEST(Generator, IndirectTargetsShowTemporalLocality)
     // last-target predictor to be useful (interpreter-dispatch realism).
     const int pid = programIdByCode("S8");
     RegionSpec spec{pid, 0, 0, 24};
-    const auto region = generateRegion(spec);
+    const auto region = regionRows(spec);
     std::map<uint64_t, uint16_t> last_target;
     size_t repeats = 0, total = 0;
     for (const auto &instr : region) {
@@ -291,7 +298,7 @@ TEST(Generator, StreamLoadsHaveConstantPerPcStride)
     // stride (prefetcher trainability).
     const int pid = programIdByCode("P1");
     RegionSpec spec{pid, 0, 2, 2};
-    const auto region = generateRegion(spec);
+    const auto region = regionRows(spec);
     std::map<uint64_t, std::vector<uint64_t>> per_pc;
     for (const auto &instr : region) {
         if (instr.isLoad())
@@ -328,7 +335,7 @@ TEST(Generator, ChaseLoadsFormDependencyChains)
 {
     const int pid = programIdByCode("S1");
     RegionSpec spec{pid, 0, 0, 2};
-    const auto region = generateRegion(spec);
+    const auto region = regionRows(spec);
     // Find load->load dependency chains (the defining mcf pattern).
     size_t load_on_load = 0;
     for (const auto &instr : region) {

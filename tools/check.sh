@@ -4,7 +4,8 @@
 #
 #   stage 1  configure (warnings fatal) + build everything (including the
 #            bench/e2e driver, build only) + full ctest
-#   stage 2  ASan+UBSan build + full ctest        (SKIP_SANITIZE=1 skips)
+#   stage 2  ASan+UBSan build + full ctest, then a TSan build of the
+#            concurrency suites                   (SKIP_SANITIZE=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
 #
 # Env knobs: BUILD_TYPE (default Release), JOBS (default nproc).
@@ -36,6 +37,16 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     cmake --build build-asan -j "$JOBS"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
         ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+
+    echo "== stage 2b: TSan concurrency suites =="
+    # The suites that share one RegionAnalysis, queue, or socket server
+    # across threads (the combined-trace latch included).
+    cmake -B build-tsan -S . -DCONCORDE_SANITIZE=thread -DCONCORDE_WERROR=ON
+    cmake --build build-tsan -j "$JOBS" --target test_analysis_store \
+        test_sim_labeler test_serve test_uncertainty test_net_serve
+    TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
+        -R 'test_(analysis_store|sim_labeler|serve|uncertainty|net_serve)' \
+        --output-on-failure -j "$JOBS"
 fi
 
 if [ "${SKIP_BENCH:-0}" != "1" ]; then
