@@ -162,10 +162,10 @@ FeatureProvider::robEntry(int rob_size, const MemoryConfig &mem,
     if (need_latencies) {
         encodeLog1p(run.issueLat, entry.encIssue);
         encodeLog1p(run.commitLat, entry.encCommit);
-        // Execution latencies stay raw until someone asks for their
-        // encoding; assemble() only does for the largest latency size.
-        entry.rawExec = std::move(run.execLat);
-        entry.encExec.clear();
+        // assemble() reads the exec encoding only for one size; every
+        // other size's exec latencies die with `run`.
+        if (rob_size == execLatencyRobSize())
+            encodeLog1p(run.execLat, entry.encExec);
         entry.hasLatencies = true;
     }
     return entry;
@@ -193,6 +193,12 @@ FeatureProvider::needsLatencies(int rob_size) const
         != cfg.latencyRobSizes.end();
 }
 
+int
+FeatureProvider::execLatencyRobSize() const
+{
+    return cfg.latencyRobSizes.empty() ? 1024 : cfg.latencyRobSizes.back();
+}
+
 uint64_t
 FeatureProvider::estimatedLoadLatencySum(const MemoryConfig &mem)
 {
@@ -215,79 +221,43 @@ void
 FeatureProvider::ensureRobEntries(const UarchParams &params)
 {
     const MemoryConfig &mem = params.memory;
-    const uint32_t dkey = mem.dSideKey();
-    const int biggest =
-        cfg.latencyRobSizes.empty() ? 1024 : cfg.latencyRobSizes.back();
 
     // Distinct sizes this assemble will touch (a dozen or so; linear
     // dedup beats a set here).
-    std::vector<RobSweepRequest> wanted;
+    struct Wanted
+    {
+        int robSize;
+        bool latencies;
+    };
+    std::vector<Wanted> wanted;
     auto add = [&](int size, bool lat) {
-        for (RobSweepRequest &req : wanted) {
-            if (req.robSize == size) {
-                req.collectLatencies |= lat;
+        for (Wanted &w : wanted) {
+            if (w.robSize == size) {
+                w.latencies |= lat;
                 return;
             }
         }
-        wanted.push_back(RobSweepRequest{size, lat});
+        wanted.push_back(Wanted{size, lat});
     };
     add(params.robSize, needsLatencies(params.robSize));
     for (int size : cfg.robSweep)
         add(size, needsLatencies(size));
     for (int size : cfg.latencyRobSizes)
         add(size, true);
-    add(biggest, true);
+    add(execLatencyRobSize(), true);
 
-    std::vector<RobSweepRequest> missing;
-    for (const RobSweepRequest &req : wanted) {
-        auto it = robCache.find(packKey(req.robSize, dkey));
-        if (it == robCache.end()
-            || (req.collectLatencies && !it->second.hasLatencies)) {
-            missing.push_back(req);
-        }
-    }
-    if (missing.empty())
-        return;
-
-    const auto &dside = region->dside(mem);
-    std::vector<RobModelResult> runs =
-        runRobModelSweep(region->regionColumns(), region->loadIndex(),
-                         dside.execLat, missing, cfg.windowK);
-    totalModelRuns += missing.size();
-
-    for (size_t i = 0; i < missing.size(); ++i) {
-        RobModelResult &run = runs[i];
-        RobEntry &entry = robCache[packKey(missing[i].robSize, dkey)];
-        entry.windows = std::move(run.windowThroughput);
-        entry.overallIpc = run.overallIpc;
-        if (!missing[i].collectLatencies)
-            continue;
-        encodeLog1p(run.issueLat, entry.encIssue);
-        encodeLog1p(run.commitLat, entry.encCommit);
-        if (missing[i].robSize == biggest) {
-            // assemble() reads the exec encoding only for the biggest
-            // latency size; encode it here and leave rawExec in the
-            // same cleared state encodedExec() would.
-            encodeLog1p(run.execLat, entry.encExec);
-            entry.rawExec.clear();
-            entry.rawExec.shrink_to_fit();
-        } else {
-            entry.rawExec = std::move(run.execLat);
-            entry.encExec.clear();
-        }
-        entry.hasLatencies = true;
-    }
-}
-
-const std::vector<float> &
-FeatureProvider::encodedExec(RobEntry &entry)
-{
-    if (entry.encExec.empty()) {
-        encodeLog1p(entry.rawExec, entry.encExec);
-        entry.rawExec.clear();
-        entry.rawExec.shrink_to_fit();
-    }
-    return entry.encExec;
+    // One size at a time over the shared modelScratch, each run's
+    // latencies encoded before the next run starts, so at most one run's
+    // three latency vectors are live (384 KB at 16k instructions; a cold
+    // N1 assemble collects them for six sizes). Interleaving the per-size recurrences in
+    // a single trace pass was tried and measured SLOWER than back-to-back
+    // single-size runs (with separate and with transposed per-size
+    // finish arrays): the simple single-size loop optimizes better than
+    // a variable-width group loop, and the region's working set already
+    // sits in cache across runs, so the win here is scratch reuse and
+    // running every ROB size before the encodes of the other blocks.
+    for (const Wanted &w : wanted)
+        robEntry(w.robSize, mem, w.latencies);
 }
 
 const std::vector<double> &
@@ -470,9 +440,8 @@ FeatureProvider::assemble(const UarchParams &params, std::vector<float> &out)
     // reused as-is.
     region->analyzeAll(params.memory, params.branch);
 
-    // Fold every ROB-model size the blocks below will ask for into one
-    // fused multi-size sweep over the trace (plus one batched latency
-    // encode); the per-size robEntry lookups then all hit the cache.
+    // Run every ROB-model size the blocks below will ask for back to
+    // back; the per-size robEntry lookups then all hit the cache.
     ensureRobEntries(params);
 
     const WindowCounts &wc = counts();
@@ -534,10 +503,8 @@ FeatureProvider::assemble(const UarchParams &params, std::vector<float> &out)
 
     // ---- latency distributions ----
     {
-        const int biggest =
-            cfg.latencyRobSizes.empty() ? 1024 : cfg.latencyRobSizes.back();
         const std::vector<float> &enc_exec =
-            encodedExec(robEntry(biggest, params.memory, true));
+            robEntry(execLatencyRobSize(), params.memory, true).encExec;
         out.insert(out.end(), enc_exec.begin(), enc_exec.end());
         for (int size : cfg.latencyRobSizes) {
             const RobEntry &e = robEntry(size, params.memory, true);

@@ -107,7 +107,7 @@ class FeatureLayout
  * method may write to them, so concurrent calls on ONE instance race.
  * The two supported patterns, both regression-tested by test_pipeline,
  * are (a) shard-local providers, one instance per worker, as
- * AnalysisPipeline does, and (b) one shared instance serialized by an
+ * AnalysisPipeline and ConcordePredictor::predictSweep do, and (b) one shared instance serialized by an
  * external mutex, as PredictionService does per (model, region). Results
  * are bitwise identical either way. The underlying RegionAnalysis MAY be
  * shared between providers on different threads (the AnalysisStore hands
@@ -184,6 +184,13 @@ class FeatureProvider
     uint64_t estimatedLoadLatencySum(const MemoryConfig &mem);
 
   private:
+    /**
+     * One memoized ROB-model run. Stage latencies are kept only in
+     * encoded form: issue and commit for every latency size, and
+     * execution only for execLatencyRobSize(), the one size whose exec
+     * encoding assemble() reads. The other sizes' raw exec latencies are
+     * dropped with the run.
+     */
     struct RobEntry
     {
         std::vector<double> windows;
@@ -192,14 +199,7 @@ class FeatureProvider
         bool hasLatencies = false;
         std::vector<float> encIssue;
         std::vector<float> encCommit;
-        /**
-         * Raw execution latencies, kept unencoded: assemble() only ever
-         * reads the encoding for the largest latency-ROB size, so the
-         * log1p + sort + encode is done lazily (encodedExec) instead of
-         * once per collected size.
-         */
-        std::vector<double> rawExec;
-        std::vector<float> encExec;
+        std::vector<float> encExec;     ///< execLatencyRobSize() only
     };
 
     /** A memoized per-window bound plus its (lazily) encoded form. */
@@ -228,12 +228,15 @@ class FeatureProvider
     /** Does this ROB size contribute stage-latency feature blocks? */
     bool needsLatencies(int rob_size) const;
 
+    /** The latency size whose exec-latency encoding assemble() reads. */
+    int execLatencyRobSize() const;
+
     /**
-     * Batch every ROB size one assemble() touches (the target size, the
-     * sweep sizes, and the latency sizes) whose entry is still missing
-     * into ONE runRobModelSweep call, then encode the collected latency
-     * distributions. Bitwise-identical to the per-size robEntry path;
-     * warm assembles find nothing missing and return immediately.
+     * Fill every ROB size one assemble() touches (the target size, the
+     * sweep sizes, and the latency sizes) whose entry is still missing,
+     * one robEntry run at a time on the shared modelScratch, each run's
+     * latencies encoded before the next starts. Warm assembles find
+     * every entry memoized and run nothing.
      */
     void ensureRobEntries(const UarchParams &params);
 
@@ -259,8 +262,6 @@ class FeatureProvider
                        std::vector<float> &out);
     /** Memoized encoding of a cached bound. */
     const std::vector<float> &encoded(BoundEntry &entry);
-    /** Memoized log1p encoding of an entry's raw execution latencies. */
-    const std::vector<float> &encodedExec(RobEntry &entry);
     /** log1p-transform, sort, and encode one stage-latency vector. */
     void encodeLog1p(std::vector<double> &samples,
                      std::vector<float> &out) const;

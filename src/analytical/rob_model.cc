@@ -101,28 +101,4 @@ runRobModel(const TraceColumns &region, const LoadLineIndex &index,
     return result;
 }
 
-std::vector<RobModelResult>
-runRobModelSweep(const TraceColumns &region, const LoadLineIndex &index,
-                 const std::vector<int32_t> &exec_lat,
-                 const std::vector<RobSweepRequest> &requests, int window_k)
-{
-    // One size at a time over shared scratch. Interleaving the per-size
-    // recurrences in a single trace pass was tried and measured SLOWER
-    // here than back-to-back single-size runs (both with separate and
-    // with transposed per-size finish arrays): the simple single-size
-    // loop optimizes better than a variable-width group loop, and a
-    // 4096-instruction region's working set already sits in cache across
-    // runs, so the sweep's win is scratch reuse plus the caller batching
-    // every size behind one memo check.
-    std::vector<RobModelResult> results;
-    results.reserve(requests.size());
-    RobModelScratch scratch;
-    for (const RobSweepRequest &req : requests) {
-        results.push_back(runRobModel(region, index, exec_lat, req.robSize,
-                                      window_k, req.collectLatencies,
-                                      &scratch));
-    }
-    return results;
-}
-
 } // namespace concorde

@@ -70,27 +70,6 @@ RobModelResult runRobModel(const TraceColumns &region,
                            bool collect_latencies,
                            RobModelScratch *scratch = nullptr);
 
-/** One ROB size of a fused multi-size sweep. */
-struct RobSweepRequest
-{
-    int robSize = 1;
-    bool collectLatencies = false;
-};
-
-/**
- * Run the ROB model for a whole list of sizes over one region, sharing
- * the working buffers across runs (each size's arithmetic is exactly
- * runRobModel's, so results are bitwise identical to per-size calls).
- * This is the cold-path entry point: FeatureProvider batches every size
- * an assemble() will touch into one call instead of interleaving model
- * runs with cache lookups and encodes.
- */
-std::vector<RobModelResult>
-runRobModelSweep(const TraceColumns &region, const LoadLineIndex &index,
-                 const std::vector<int32_t> &exec_lat,
-                 const std::vector<RobSweepRequest> &requests,
-                 int window_k);
-
 } // namespace concorde
 
 #endif // CONCORDE_ANALYTICAL_ROB_MODEL_HH

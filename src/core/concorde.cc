@@ -1,10 +1,13 @@
 #include "core/concorde.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace concorde
 {
@@ -45,9 +48,10 @@ ConcordePredictor::predictCpiBatch(FeatureProvider &provider,
 {
     if (n == 0)
         return {};
-    // Assembly is serial (the provider's memo caches are not
-    // thread-safe), but every analytical-model run is memoized, so a
-    // sweep touches each (resource, value, memory-config) once.
+    // Assembly is serial: the caller owns the provider and reads its
+    // memo afterwards, and one provider's caches are not thread-safe.
+    // Every analytical-model run is memoized, so a batch touches each
+    // (resource, value, memory-config) once.
     std::vector<float> features;
     features.reserve(n * trainedModel.inputDim());
     for (size_t i = 0; i < n; ++i)
@@ -72,7 +76,7 @@ ConcordePredictor::predictSweep(const RegionSpec &region,
         return {};
     if (!store)
         store = &AnalysisStore::global();
-    FeatureProvider provider(store->acquire(region), featureCfg);
+    const std::shared_ptr<RegionAnalysis> analysis = store->acquire(region);
 
     // Group the design points by their per-side analysis keys so that
     // consecutive assembles share sides: within a run of equal dSideKey
@@ -93,17 +97,48 @@ ConcordePredictor::predictSweep(const RegionSpec &region,
                                                params[b].branch.key());
                      });
 
+    // Runs of equal dSideKey share no ROB/LQ memo entries, so each is a
+    // unit of work for its own provider. Largest first: the grid's base
+    // run (most points) starts at once while the rest spread over the
+    // remaining workers.
+    std::vector<std::pair<size_t, size_t>> runs;  // [begin, end) of order
+    for (size_t begin = 0; begin < n;) {
+        const uint32_t dkey = params[order[begin]].memory.dSideKey();
+        size_t end = begin + 1;
+        while (end < n && params[order[end]].memory.dSideKey() == dkey)
+            ++end;
+        runs.emplace_back(begin, end);
+        begin = end;
+    }
+    std::stable_sort(runs.begin(), runs.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.second - a.first > b.second - b.first;
+                     });
+
+    // One provider per worker over the shared analysis, whose per-side
+    // latches make concurrent analyzeAll() calls build each side once.
+    // Workers write disjoint rows; a single run stays on this thread.
     const size_t dim = featureLayout.dim();
     std::vector<float> features(n * dim, 0.0f);
-    std::vector<float> row;
-    row.reserve(dim);
-    for (size_t idx : order) {
-        row.clear();
-        provider.assemble(params[idx], row);
-        panic_if(row.size() != dim, "assembled %zu features, dim %zu",
-                 row.size(), dim);
-        std::copy(row.begin(), row.end(), features.begin() + idx * dim);
-    }
+    std::atomic<size_t> next_run{0};
+    const size_t workers =
+        std::min(threads == 0 ? defaultThreads() : threads, runs.size());
+    parallelFor(workers, [&](size_t) {
+        FeatureProvider provider(analysis, featureCfg);
+        std::vector<float> row;
+        row.reserve(dim);
+        for (size_t r; (r = next_run.fetch_add(1)) < runs.size();) {
+            for (size_t k = runs[r].first; k < runs[r].second; ++k) {
+                const size_t idx = order[k];
+                row.clear();
+                provider.assemble(params[idx], row);
+                panic_if(row.size() != dim, "assembled %zu features, dim %zu",
+                         row.size(), dim);
+                std::copy(row.begin(), row.end(),
+                          features.begin() + idx * dim);
+            }
+        }
+    }, workers);
     return predictCpiFromFeatures(features, n, threads);
 }
 

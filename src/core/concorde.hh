@@ -50,10 +50,11 @@ class ConcordePredictor
                       const UarchParams &params) const;
 
     /**
-     * Batched prediction for one region across many design points (the
-     * design-space-exploration hot path): all feature rows are assembled
-     * into one contiguous matrix, then evaluated in a single
-     * thread-parallel blocked-GEMM pass. Matches predictCpi per element.
+     * Batched prediction for one region across many design points: all
+     * feature rows are assembled into one contiguous matrix, then
+     * evaluated in a single thread-parallel blocked-GEMM pass. Matches
+     * predictCpi per element. Assembly stays serial, because the caller
+     * owns the provider and reads its memo afterwards.
      *
      * @param params pointer to `n` design points
      * @param threads worker threads for the MLP pass (0 = hardware)
@@ -71,12 +72,18 @@ class ConcordePredictor
      * Design-space-sweep fast path (Section 5.2.3): acquire the region's
      * analysis from the shared AnalysisStore (so repeated sweeps -- and
      * any other layer touching the region -- reuse one trace analysis),
-     * assemble every design point's row through one FeatureProvider
-     * (each analytical-model run and encoded block computed at most
-     * once), and evaluate all rows in a single batched GEMM. Matches a
-     * per-config predictCpi(region, params) loop bitwise; the
-     * bench_sweep_dse gate pins both the equality and the speedup.
+     * assemble every design point's row, and evaluate all rows in a
+     * single batched GEMM. The points are cut into runs of equal d-side
+     * memory config; runs share no ROB/LQ model runs, so up to `threads`
+     * workers assemble them in parallel, each through its own
+     * FeatureProvider over the one shared analysis (within a provider
+     * each analytical-model run and encoded block is computed at most
+     * once). A sweep with a single d-side run is assembled serially on
+     * the calling thread. Matches a per-config predictCpi(region, params)
+     * loop bitwise for every `threads`; the bench_sweep_dse gate pins the
+     * equality and the single-thread speedup.
      *
+     * @param threads workers for assembly and the MLP pass (0 = hardware)
      * @param store analysis cache to share (default: the global store)
      */
     std::vector<double> predictSweep(const RegionSpec &region,

@@ -307,5 +307,49 @@ TEST(AnalysisStore, PredictSweepMatchesPerConfigLoop)
     EXPECT_EQ(store.stats().built, 1u);
 }
 
+// predictSweep assembles its d-side runs on `threads` workers, each with
+// its own provider over one shared analysis; the result must not depend
+// on the worker count. The cold sweep runs first with 4 workers, so they
+// race on the shared analysis's per-side latches (the N1 i-side and
+// branch analyses every run needs); the TSan stage runs this suite.
+TEST(AnalysisStore, PredictSweepIsThreadCountInvariant)
+{
+    AnalysisStore store;
+    const ConcordePredictor predictor(
+        artifacts::untrainedModel(FeatureConfig{}, 2031), FeatureConfig{});
+    const RegionSpec region = regionAt(24, 2, programIdByCode("S7"));
+
+    // The quantized one-at-a-time grid around N1 (171 points, 9 d-side
+    // runs) plus random points, each likely a d-side run of its own.
+    std::vector<UarchParams> points;
+    const UarchParams base = UarchParams::armN1();
+    for (const ParamInfo &info : paramTable()) {
+        for (int64_t value : sweepValues(info.id, /*quantized=*/true)) {
+            UarchParams point = base;
+            point.set(info.id, value);
+            points.push_back(point);
+        }
+    }
+    Rng rng(11);
+    for (int i = 0; i < 6; ++i)
+        points.push_back(UarchParams::sampleRandom(rng));
+
+    const auto cold4 = predictor.predictSweep(region, points, 4, &store);
+    const auto serial = predictor.predictSweep(region, points, 1, &store);
+    ASSERT_EQ(serial.size(), points.size());
+    EXPECT_EQ(cold4, serial);
+    EXPECT_EQ(predictor.predictSweep(region, points, 2, &store), serial);
+    EXPECT_EQ(predictor.predictSweep(region, points, 0, &store), serial);
+
+    // A seed-chosen subset against one-at-a-time fresh-provider calls.
+    Rng pick(12);
+    for (int k = 0; k < 8; ++k) {
+        const size_t i = pick.nextBounded(points.size());
+        EXPECT_EQ(serial[i], predictor.predictCpi(region, points[i]))
+            << "point " << i;
+    }
+    EXPECT_EQ(store.stats().built, 1u);
+}
+
 } // anonymous namespace
 } // namespace concorde

@@ -2,16 +2,15 @@
  * @file
  * Tests for the fused cold analysis path: the columnar trace layout, the
  * single-sweep d/i/branch analysis (RegionAnalysis::analyzeAll and
- * AnalyzerCarryState::analyzeShard), and the multi-size ROB-model sweep
- * feeding FeatureProvider's batched cache fill. Every fused path must be
- * bitwise-identical to its legacy per-side / per-size counterpart.
+ * AnalyzerCarryState::analyzeShard), and FeatureProvider's cold ROB
+ * cache fill. Every fused path must be bitwise-identical to its legacy
+ * per-side / per-size counterpart.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/trace_analyzer.hh"
 #include "analytical/feature_provider.hh"
-#include "analytical/rob_model.hh"
 #include "trace/program_model.hh"
 #include "trace/workloads.hh"
 #include "uarch/params.hh"
@@ -204,41 +203,35 @@ TEST(TraceColumnsLayout, RowRoundTripIsLossless)
     EXPECT_EQ(again.targetId, cols.targetId);
 }
 
-// The multi-size ROB sweep must be bitwise-identical to back-to-back
-// single-size runs, including the optional stage-latency collection.
-TEST(RobSweep, MatchesPerSizeRuns)
+// The two ways a ROB entry gets its stage latencies must agree: built
+// without latencies first (robOverallIpc) and re-run for them by the
+// later assemble, or built with them on the first run. Only the biggest
+// latency size keeps an exec-latency encoding, so this pins the re-run
+// path against the direct one for every size assemble() reads.
+TEST(RobSweep, LatencyRerunMatchesDirectAssemble)
 {
     const RegionSpec spec = testRegion("S7", 16, 1);
-    RegionAnalysis analysis(spec);
-    const MemoryConfig mem;
-    const DSideAnalysis &dside = analysis.dside(mem);
+    const FeatureConfig cfg;
+    const UarchParams params = UarchParams::armN1();
 
-    const std::vector<RobSweepRequest> requests = {
-        {1, true}, {4, false}, {16, true}, {64, false},
-        {200, false}, {1024, true},
-    };
-    const std::vector<RobModelResult> sweep = runRobModelSweep(
-        analysis.regionColumns(), analysis.loadIndex(), dside.execLat,
-        requests, kDefaultWindowK);
-    ASSERT_EQ(sweep.size(), requests.size());
+    FeatureProvider rerun(spec, cfg);
+    for (int size : cfg.robSweep)
+        rerun.robOverallIpc(size, params.memory);
+    EXPECT_EQ(rerun.modelRuns(), cfg.robSweep.size());
+    std::vector<float> rerun_row;
+    rerun.assemble(params, rerun_row);
 
-    for (size_t i = 0; i < requests.size(); ++i) {
-        const RobModelResult single = runRobModel(
-            analysis.regionColumns(), analysis.loadIndex(), dside.execLat,
-            requests[i].robSize, kDefaultWindowK,
-            requests[i].collectLatencies);
-        EXPECT_EQ(sweep[i].windowThroughput, single.windowThroughput);
-        EXPECT_EQ(sweep[i].overallIpc, single.overallIpc);
-        EXPECT_EQ(sweep[i].issueLat, single.issueLat);
-        EXPECT_EQ(sweep[i].execLat, single.execLat);
-        EXPECT_EQ(sweep[i].commitLat, single.commitLat);
-        if (!requests[i].collectLatencies) {
-            EXPECT_TRUE(sweep[i].issueLat.empty());
-        }
-    }
+    FeatureProvider direct(spec, cfg);
+    std::vector<float> direct_row;
+    direct.assemble(params, direct_row);
+
+    // Every latency size already swept ran twice on the re-run path.
+    EXPECT_GT(rerun.modelRuns(), direct.modelRuns());
+    ASSERT_EQ(rerun_row.size(), direct.layout().dim());
+    EXPECT_EQ(rerun_row, direct_row);
 }
 
-// FeatureProvider's batched cache fill: one cold assemble populates every
+// FeatureProvider's cold cache fill: one cold assemble populates every
 // entry a design point touches, so the warm repeat runs zero models and
 // produces a bitwise-identical feature vector; a genuinely new ROB size
 // falls back to exactly one extra run.

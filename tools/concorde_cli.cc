@@ -1507,8 +1507,10 @@ runSweepWorker(int pid, const char *code, int argc, char **argv)
         points.push_back(params);
     }
 
+    // One thread: the supervisor already runs one process per part.
     const ConcordePredictor predictor = sweepPredictor(model_path);
-    const auto cpis = predictor.predictSweep(regionFor(pid), points);
+    const auto cpis =
+        predictor.predictSweep(regionFor(pid), points, /*threads=*/1);
 
     const std::string tmp = uniqueTmpName(out_path);
     {
