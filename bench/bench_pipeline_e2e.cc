@@ -38,6 +38,7 @@
 
 #include "bench_util.hh"
 #include "common/stopwatch.hh"
+#include "ml/mlp.hh"
 #include "pipeline/analysis_pipeline.hh"
 
 using namespace concorde;
@@ -193,6 +194,7 @@ main(int argc, char **argv)
         benchutil::BenchJson json("BENCH_pipeline.json");
         json.text("bench", "pipeline_e2e");
         json.text("mode", cfg.smoke ? "smoke" : "full");
+        json.text("gemm_kernel", Mlp::batchKernelName());
         json.field("span_chunks", "%llu",
                    static_cast<unsigned long long>(cfg.spanChunks));
         json.field("region_chunks", "%u", cfg.regionChunks);

@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CONCORDE_AVX512_KERNEL 1
+#include <immintrin.h>
+#endif
 
 #include "common/logging.hh"
+#include "ml/mlp_gemm.hh"
 
 namespace concorde
 {
@@ -53,12 +60,34 @@ Mlp::Mlp(std::vector<size_t> layer_sizes, uint64_t seed)
 Mlp::Mlp(BinaryReader &in)
 {
     layerSizes = in.getVector<size_t>();
+    fatal_if(layerSizes.size() < 2, "malformed MLP: %zu layer sizes",
+             layerSizes.size());
     const size_t layers = layerSizes.size() - 1;
     for (size_t l = 0; l < layers; ++l) {
         weights.push_back(in.getVector<float>());
         biases.push_back(in.getVector<float>());
     }
+    checkShapes("MLP");
     initAdamState();
+}
+
+void
+Mlp::checkShapes(const char *what) const
+{
+    fatal_if(layerSizes.size() < 2 || layerSizes.back() != 1,
+             "malformed %s: need {input, hidden..., 1} layer sizes", what);
+    for (size_t l = 0; l + 1 < layerSizes.size(); ++l) {
+        const size_t in = layerSizes[l];
+        const size_t out = layerSizes[l + 1];
+        // Divide rather than multiply: in * out could wrap.
+        const size_t w = weights[l].size();
+        fatal_if(in == 0 || w % in != 0 || w / in != out,
+                 "malformed %s: layer %zu has %zu weights for %zu x %zu",
+                 what, l, w, out, in);
+        fatal_if(biases[l].size() != out,
+                 "malformed %s: layer %zu has %zu biases for %zu outputs",
+                 what, l, biases[l].size(), out);
+    }
 }
 
 void
@@ -100,6 +129,15 @@ Mlp::loadCheckpoint(BinaryReader &in)
         mlp.vW.push_back(in.getVector<float>());
         mlp.mB.push_back(in.getVector<float>());
         mlp.vB.push_back(in.getVector<float>());
+    }
+    mlp.checkShapes("MLP checkpoint");
+    for (size_t l = 0; l < layers; ++l) {
+        fatal_if(mlp.mW[l].size() != mlp.weights[l].size() ||
+                     mlp.vW[l].size() != mlp.weights[l].size() ||
+                     mlp.mB[l].size() != mlp.biases[l].size() ||
+                     mlp.vB[l].size() != mlp.biases[l].size(),
+                 "malformed MLP checkpoint: layer %zu optimizer state does "
+                 "not match its parameters", l);
     }
     mlp.adamStep = in.get<uint64_t>();
     return mlp;
@@ -228,31 +266,29 @@ gemmCorner(const float *X, const float *w, const float *b, float *Y,
     }
 }
 
-/** Batch rows processed per transposed block. */
-constexpr size_t kRowBlock = 16;
-
 #if defined(__GNUC__) || defined(__clang__)
 #define CONCORDE_RESTRICT __restrict
 #else
 #define CONCORDE_RESTRICT
 #endif
 
+} // anonymous namespace
+
 /**
- * One dense layer over a batch: Y[n x od] = relu?(X[n x in] * W^T + b).
  * Rows are processed in blocks of kRowBlock: the block is transposed
  * once so the batch dimension is contiguous, then every output unit
- * accumulates a kRowBlock-wide FMA per weight element. The weight
+ * accumulates a kRowBlock-wide multiply-add per weight element. The weight
  * matrix is streamed n/kRowBlock times instead of n times, the
  * transposed block stays in L1, and the contiguous independent lanes
  * vectorize. Per (row, output) the accumulation order over inputs is
  * identical to Mlp::forward, so results match the scalar path.
  */
 void
-gemmLayer(const float *CONCORDE_RESTRICT X,
-          const float *CONCORDE_RESTRICT w,
-          const float *CONCORDE_RESTRICT b, float *CONCORDE_RESTRICT Y,
-          float *CONCORDE_RESTRICT xt, size_t n, size_t in, size_t od,
-          bool relu)
+gemm::layerPortable(const float *CONCORDE_RESTRICT X,
+                    const float *CONCORDE_RESTRICT w,
+                    const float *CONCORDE_RESTRICT b,
+                    float *CONCORDE_RESTRICT Y, float *CONCORDE_RESTRICT xt,
+                    size_t n, size_t in, size_t od, bool relu)
 {
     constexpr size_t RB = kRowBlock;
     auto act = [relu](float v) { return relu && v < 0.0f ? 0.0f : v; };
@@ -322,11 +358,161 @@ gemmLayer(const float *CONCORDE_RESTRICT X,
         gemmCorner(X, w, b, Y, in, od, r0, n - r0, 0, od, relu);
 }
 
+#ifdef CONCORDE_AVX512_KERNEL
+
+// The AVX-512 kernel is compiled for avx512f whatever the build flags
+// (the dispatcher below runs it only where the CPU has it). That target
+// also has FMA, and GCC contracts `acc + w * x` into one fused
+// multiply-add -- intrinsics included, even under -std=c++17 -- which
+// rounds once instead of twice and breaks bitwise equality with
+// Mlp::forward. Contraction is therefore switched off in the source, so
+// that every build of this file gets it, whatever flags compile it:
+// GCC's optimize attribute here, clang's pragma inside each function.
+// GCC also has to be told to unroll the per-output loops, or it keeps
+// the accumulators on the stack; clang unrolls them unasked.
+#ifdef __clang__
+#define CONCORDE_AVX512 __attribute__((target("avx512f")))
+#define CONCORDE_NO_FP_CONTRACT _Pragma("clang fp contract(off)")
+#define CONCORDE_UNROLL_TILE
+#else
+#define CONCORDE_AVX512                                                     \
+    __attribute__((target("avx512f"), optimize("fp-contract=off")))
+#define CONCORDE_NO_FP_CONTRACT
+#define CONCORDE_UNROLL_TILE _Pragma("GCC unroll 8")
+#endif
+
+namespace
+{
+
+/**
+ * K output units x one kRowBlock-row block. The K accumulators stay in
+ * zmm registers for the whole pass over the inputs; lane r of
+ * accumulator k is (row r0 + r, output o + k). Each step is one rounded
+ * multiply and one rounded add, in input order, exactly as
+ * Mlp::forward. Only the block's first `rows` rows are stored.
+ */
+template <size_t K>
+CONCORDE_AVX512 void
+avx512Tile(const float *xt, const float *w, const float *b, float *Y,
+           size_t r0, size_t rows, size_t in, size_t od, size_t o,
+           bool relu)
+{
+    CONCORDE_NO_FP_CONTRACT
+    const float *wk[K];
+    __m512 acc[K];
+    CONCORDE_UNROLL_TILE
+    for (size_t k = 0; k < K; ++k) {
+        wk[k] = w + (o + k) * in;
+        acc[k] = _mm512_set1_ps(b[o + k]);
+    }
+    for (size_t i = 0; i < in; ++i) {
+        const __m512 x = _mm512_load_ps(xt + i * gemm::kRowBlock);
+        CONCORDE_UNROLL_TILE
+        for (size_t k = 0; k < K; ++k) {
+            const __m512 p = _mm512_mul_ps(_mm512_set1_ps(wk[k][i]), x);
+            acc[k] = _mm512_add_ps(acc[k], p);
+        }
+    }
+    // ReLU as Mlp::forward's `v < 0 ? 0 : v`: an ordered less-than
+    // leaves -0.0 and NaN as they are (max_ps would not).
+    const __m512 zero = _mm512_setzero_ps();
+    alignas(64) float tile[K][gemm::kRowBlock];
+    for (size_t k = 0; k < K; ++k) {
+        __m512 v = acc[k];
+        if (relu)
+            v = _mm512_mask_mov_ps(
+                v, _mm512_cmp_ps_mask(v, zero, _CMP_LT_OQ), zero);
+        _mm512_store_ps(tile[k], v);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+        float *y = Y + (r0 + r) * od + o;
+        for (size_t k = 0; k < K; ++k)
+            y[k] = tile[k][r];
+    }
+}
+
 } // anonymous namespace
 
+/**
+ * A partial last block is zero-padded, so small batches and ragged
+ * corners take the same vector path.
+ */
+CONCORDE_AVX512 void
+gemm::layerAvx512(const float *X, const float *w, const float *b, float *Y,
+                  float *xt, size_t n, size_t in, size_t od, bool relu)
+{
+    CONCORDE_NO_FP_CONTRACT
+    constexpr size_t RB = kRowBlock;
+    for (size_t r0 = 0; r0 < n; r0 += RB) {
+        const size_t rows = n - r0 < RB ? n - r0 : RB;
+        for (size_t r = 0; r < rows; ++r) {
+            const float *x = X + (r0 + r) * in;
+            for (size_t i = 0; i < in; ++i)
+                xt[i * RB + r] = x[i];
+        }
+        for (size_t r = rows; r < RB; ++r) {
+            for (size_t i = 0; i < in; ++i)
+                xt[i * RB + r] = 0.0f;
+        }
+        size_t o = 0;
+        for (; o + 8 <= od; o += 8)
+            avx512Tile<8>(xt, w, b, Y, r0, rows, in, od, o, relu);
+        if (o + 4 <= od) {
+            avx512Tile<4>(xt, w, b, Y, r0, rows, in, od, o, relu);
+            o += 4;
+        }
+        if (o + 2 <= od) {
+            avx512Tile<2>(xt, w, b, Y, r0, rows, in, od, o, relu);
+            o += 2;
+        }
+        if (o < od)
+            avx512Tile<1>(xt, w, b, Y, r0, rows, in, od, o, relu);
+    }
+}
+
+bool
+gemm::avx512Supported()
+{
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") != 0;
+    }();
+    return supported;
+}
+
+#else // no AVX-512 kernel on this platform
+
 void
-Mlp::forwardBatch(const float *xs, size_t n, float *out,
-                  MlpBatchScratch &scratch) const
+gemm::layerAvx512(const float *, const float *, const float *, float *,
+                  float *, size_t, size_t, size_t, bool)
+{
+    panic("AVX-512 GEMM kernel called on a build without it");
+}
+
+bool
+gemm::avx512Supported()
+{
+    return false;
+}
+
+#endif
+
+gemm::LayerKernel
+gemm::kernelFor(size_t n)
+{
+    // Below this many rows the scalar corner kernel wins: a lone row
+    // would pay for fifteen padded lanes.
+    constexpr size_t kAvx512MinRows = 2;
+    return avx512Supported() && n >= kAvx512MinRows ? layerAvx512
+                                                    : layerPortable;
+}
+
+void
+gemm::forwardBatch(LayerKernel kernel, const std::vector<size_t> &layer_sizes,
+                   const std::vector<std::vector<float>> &weights,
+                   const std::vector<std::vector<float>> &biases,
+                   const float *xs, size_t n, float *out,
+                   MlpBatchScratch &scratch)
 {
     if (n == 0)
         return;
@@ -334,31 +520,50 @@ Mlp::forwardBatch(const float *xs, size_t n, float *out,
     // The ping-pong buffers only ever hold layer *outputs*; the input
     // matrix is read in place from `xs`.
     size_t widest_out = 1, widest_in = 1;
-    for (size_t l = 0; l < layerSizes.size(); ++l) {
+    for (size_t l = 0; l < layer_sizes.size(); ++l) {
         if (l > 0)
-            widest_out = std::max(widest_out, layerSizes[l]);
-        if (l + 1 < layerSizes.size())
-            widest_in = std::max(widest_in, layerSizes[l]);
+            widest_out = std::max(widest_out, layer_sizes[l]);
+        if (l + 1 < layer_sizes.size())
+            widest_in = std::max(widest_in, layer_sizes[l]);
     }
     scratch.in.resize(n * widest_out);
     scratch.out.resize(n * widest_out);
-    scratch.xt.resize(widest_in * kRowBlock);
+    // The transposed block is 64-byte aligned (one zmm per input).
+    constexpr size_t kAlignFloats = 64 / sizeof(float);
+    scratch.xt.resize(widest_in * kRowBlock + kAlignFloats);
+    float *xt = scratch.xt.data();
+    xt += (kAlignFloats - reinterpret_cast<uintptr_t>(xt) / sizeof(float) %
+                              kAlignFloats) % kAlignFloats;
 
     const float *X = xs;
     float *cur = scratch.in.data();
     float *nxt = scratch.out.data();
     for (size_t l = 0; l < layers; ++l) {
-        const size_t in = layerSizes[l];
-        const size_t od = layerSizes[l + 1];
+        const size_t in = layer_sizes[l];
+        const size_t od = layer_sizes[l + 1];
         const bool relu = l + 1 < layers;
-        gemmLayer(X, weights[l].data(), biases[l].data(), nxt,
-                  scratch.xt.data(), n, in, od, relu);
+        kernel(X, weights[l].data(), biases[l].data(), nxt, xt, n, in, od,
+               relu);
         X = nxt;
         std::swap(cur, nxt);
     }
     // The output layer is scalar, so the final activation matrix is
     // [n x 1] contiguous.
     std::copy(X, X + n, out);
+}
+
+void
+Mlp::forwardBatch(const float *xs, size_t n, float *out,
+                  MlpBatchScratch &scratch) const
+{
+    gemm::forwardBatch(gemm::kernelFor(n), layerSizes, weights, biases, xs,
+                       n, out, scratch);
+}
+
+const char *
+Mlp::batchKernelName()
+{
+    return gemm::avx512Supported() ? "avx512f" : "portable";
 }
 
 float

@@ -32,7 +32,7 @@ struct MlpBatchScratch
 {
     std::vector<float> in;      ///< current layer activations, row-major
     std::vector<float> out;     ///< next layer activations, row-major
-    std::vector<float> xt;      ///< transposed row block (GEMM kernel)
+    std::vector<float> xt;      ///< transposed row block (GEMM kernels)
 };
 
 /** Gradient accumulator with the same shape as the parameters. */
@@ -72,13 +72,22 @@ class Mlp
     /**
      * Batched forward pass: evaluates `n` inputs (row-major, n x inputDim)
      * and writes `n` scalar outputs to `out`. Each layer is computed as a
-     * blocked row-major GEMM, so the weight matrix is traversed once per
-     * row block instead of once per sample. Accumulation order per output
-     * matches forward(), so results agree with the scalar path.
+     * blocked GEMM, so the weight matrix is traversed once per 16-row
+     * block instead of once per sample. The kernel is chosen at run time:
+     * an AVX-512F kernel where the CPU has it (and the batch has at least
+     * two rows), else a portable scalar-code one. Every kernel multiplies
+     * and adds in forward()'s order, with no fused multiply-add, so each
+     * output is bitwise equal to forward()'s.
      * Thread-safe with caller-owned scratch.
      */
     void forwardBatch(const float *xs, size_t n, float *out,
                       MlpBatchScratch &scratch) const;
+
+    /**
+     * The kernel forwardBatch() runs for multi-row batches on this host:
+     * "avx512f" or "portable".
+     */
+    static const char *batchKernelName();
 
     /**
      * Forward + backward with the paper's relative-error loss
@@ -108,6 +117,8 @@ class Mlp
 
   private:
     void initAdamState();
+    /** fatal() unless every loaded vector has the size the layers imply. */
+    void checkShapes(const char *what) const;
 
     std::vector<size_t> layerSizes;
     /** weights[l]: [out x in] row-major; biases[l]: [out]. */

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "ml/mlp_gemm.hh"
 
 namespace concorde
 {
@@ -86,8 +87,14 @@ TrainedModel::predictBatch(const std::vector<float> &features, size_t dim,
     }, threads);
 
     // One blocked-GEMM pass per shard; each shard owns its workspace.
-    parallelShards(n, [&, xp](size_t, size_t lo, size_t hi) {
+    // Shards are cut on row-block boundaries, so only the last one ends
+    // in a partial (padded) block.
+    constexpr size_t RB = gemm::kRowBlock;
+    parallelShards((n + RB - 1) / RB,
+                   [&, xp](size_t, size_t block_lo, size_t block_hi) {
         thread_local MlpBatchScratch scratch;
+        const size_t lo = block_lo * RB;
+        const size_t hi = std::min(block_hi * RB, n);
         net->forwardBatch(xp + lo * dim, hi - lo, out.data() + lo,
                           scratch);
     }, threads);
@@ -143,6 +150,14 @@ TrainedModel::load(BinaryReader &in)
     model.featureMean = in.getVector<float>();
     model.featureStd = in.getVector<float>();
     model.featureMask = in.getVector<uint8_t>();
+    const size_t dim = model.net->inputDim();
+    fatal_if(model.featureMean.size() != dim ||
+                 model.featureStd.size() != dim,
+             "malformed model: %zu means and %zu stds for %zu inputs",
+             model.featureMean.size(), model.featureStd.size(), dim);
+    fatal_if(!model.featureMask.empty() && model.featureMask.size() != dim,
+             "malformed model: %zu-entry feature mask for %zu inputs",
+             model.featureMask.size(), dim);
     model.buildInvStd();
     return model;
 }

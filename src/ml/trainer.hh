@@ -68,7 +68,8 @@ class TrainedModel
     /**
      * Batch prediction: the whole batch is standardized once into one
      * contiguous matrix, then evaluated through Mlp::forwardBatch as a
-     * blocked GEMM, sharded across threads. Matches predict() per row.
+     * blocked GEMM, sharded across threads on 16-row block boundaries.
+     * Bitwise equal to predict() per row.
      */
     std::vector<float> predictBatch(const std::vector<float> &features,
                                     size_t dim, size_t threads = 0) const;

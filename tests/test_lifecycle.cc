@@ -364,6 +364,38 @@ TEST(ModelArtifact, SaveLoadRoundTripsEverything)
     std::remove(path_b.c_str());
 }
 
+TEST(ModelArtifactDeathTest, RejectsShortWeights)
+{
+    // A real artifact, edited so the first weight matrix is one float
+    // short but every length field stays self-consistent: the file
+    // parses to the end, and only the shape check can catch it.
+    ModelArtifact artifact;
+    artifact.model = artifacts::untrainedModel(artifact.features, 5);
+    const std::string path = "/tmp/concorde_lifecycle_short_weights.bin";
+    artifact.save(path);
+    std::string bytes = fileBytes(path);
+
+    const uint64_t dim = FeatureLayout(artifact.features).dim();
+    const uint64_t header[] = {4, dim, 192, 96, 1, dim * 192};
+    const std::string needle(reinterpret_cast<const char *>(header),
+                             sizeof(header));
+    const size_t at = bytes.find(needle);
+    ASSERT_NE(at, std::string::npos);
+    const uint64_t short_count = dim * 192 - 1;
+    const size_t count_at = at + sizeof(header) - sizeof(uint64_t);
+    bytes.replace(count_at, sizeof(uint64_t),
+                  reinterpret_cast<const char *>(&short_count),
+                  sizeof(short_count));
+    bytes.erase(count_at + sizeof(uint64_t), sizeof(float));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    EXPECT_EXIT(ModelArtifact::load(path), ::testing::ExitedWithCode(1),
+                "malformed MLP: layer 0 has");
+    std::remove(path.c_str());
+}
+
 TEST(ModelArtifact, ConcurrentWritersOfOnePathNeverClobber)
 {
     // Two processes publish different artifacts to one path, over and

@@ -129,6 +129,101 @@ TEST(Mlp, SaveLoadRoundTrip)
     std::remove(path.c_str());
 }
 
+/** Write an MLP stream by hand, so its vectors can lie about shapes. */
+void
+writeMlp(BinaryWriter &out, const std::vector<size_t> &sizes,
+         const std::vector<size_t> &weight_counts,
+         const std::vector<size_t> &bias_counts)
+{
+    out.putVector(sizes);
+    for (size_t l = 0; l < weight_counts.size(); ++l) {
+        out.putVector(std::vector<float>(weight_counts[l], 0.5f));
+        out.putVector(std::vector<float>(bias_counts[l], 0.0f));
+    }
+}
+
+Mlp
+loadMlpFile(const std::string &path)
+{
+    BinaryReader in(path);
+    return Mlp(in);
+}
+
+TEST(MlpDeathTest, LoadRejectsMisshapenLayers)
+{
+    const std::string path = "/tmp/concorde_test_mlp_shapes.bin";
+    auto expectRejected = [&](const std::vector<size_t> &sizes,
+                              const std::vector<size_t> &weights,
+                              const std::vector<size_t> &biases) {
+        {
+            BinaryWriter out(path);
+            writeMlp(out, sizes, weights, biases);
+        }
+        EXPECT_EXIT(loadMlpFile(path), ::testing::ExitedWithCode(1),
+                    "malformed MLP");
+    };
+    expectRejected({4, 3, 1}, {11, 3}, {3, 1});     // short weights
+    expectRejected({4, 3, 1}, {12, 4}, {3, 1});     // long weights
+    expectRejected({4, 3, 1}, {12, 3}, {2, 1});     // short biases
+    expectRejected({4, 3, 2}, {12, 6}, {3, 2});     // non-scalar output
+    expectRejected({4}, {}, {});                    // no layers
+    std::remove(path.c_str());
+}
+
+TEST(MlpDeathTest, CheckpointRejectsMisshapenOptimizerState)
+{
+    const std::string path = "/tmp/concorde_test_mlp_ckpt_shapes.bin";
+    {
+        BinaryWriter out(path);
+        out.putVector(std::vector<size_t>{2, 1});
+        out.putVector(std::vector<float>(2, 0.5f));     // weights
+        out.putVector(std::vector<float>(1, 0.0f));     // biases
+        out.putVector(std::vector<float>(2, 0.0f));     // mW
+        out.putVector(std::vector<float>(1, 0.0f));     // vW: short
+        out.putVector(std::vector<float>(1, 0.0f));     // mB
+        out.putVector(std::vector<float>(1, 0.0f));     // vB
+        out.put<uint64_t>(3);
+    }
+    auto load = [&] {
+        BinaryReader in(path);
+        Mlp::loadCheckpoint(in);
+    };
+    EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
+                "malformed MLP checkpoint");
+    std::remove(path.c_str());
+}
+
+TEST(TrainedModelDeathTest, LoadRejectsMismatchedStatistics)
+{
+    const std::string path = "/tmp/concorde_test_model_stats.bin";
+    // Written field by field in TrainedModel::save's layout: the
+    // constructor would index past a short mask before any save.
+    auto expectRejected = [&](size_t means, size_t stds, size_t mask) {
+        {
+            BinaryWriter out(path);
+            Mlp({4, 3, 1}, 5).save(out);
+            out.putVector(std::vector<float>(means, 0.0f));
+            out.putVector(std::vector<float>(stds, 1.0f));
+            out.putVector(std::vector<uint8_t>(mask, 1));
+        }
+        EXPECT_EXIT(TrainedModel::load(path), ::testing::ExitedWithCode(1),
+                    "malformed model");
+    };
+    expectRejected(3, 4, 0);    // short mean
+    expectRejected(4, 5, 0);    // long std
+    expectRejected(4, 4, 2);    // short mask
+    // A well-formed model, with and without a mask, still loads.
+    for (size_t mask : {size_t(0), size_t(4)}) {
+        const TrainedModel model(Mlp({4, 3, 1}, 5),
+                                 std::vector<float>(4, 0.0f),
+                                 std::vector<float>(4, 1.0f),
+                                 std::vector<uint8_t>(mask, 1));
+        model.save(path);
+        EXPECT_EQ(TrainedModel::load(path).inputDim(), 4u);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(GradBuffer, AddAccumulates)
 {
     Mlp net({3, 4, 1}, 1);
