@@ -275,13 +275,27 @@ RegionAnalysis::analyzeAll(const MemoryConfig &config,
         return;
     }
 
-    // Lock all three sides at once (deadlock-avoidant) so the missing
-    // subset is filled by one sweep while per-side builders of other
-    // configurations proceed under their own entries' latches.
-    std::scoped_lock lock(de.buildMtx, ie.buildMtx, be.buildMtx);
-    const bool want_d = !de.ready.load(std::memory_order_relaxed);
-    const bool want_i = !ie.ready.load(std::memory_order_relaxed);
-    const bool want_b = !be.ready.load(std::memory_order_relaxed);
+    // Latch only the sides still missing, so the missing subset is
+    // filled by one sweep while a ready side shared with another
+    // configuration's build never serializes the two. Every multi-latch
+    // holder takes them in d -> i -> b order, so none can deadlock.
+    std::unique_lock<std::mutex> d_lock(de.buildMtx, std::defer_lock);
+    std::unique_lock<std::mutex> i_lock(ie.buildMtx, std::defer_lock);
+    std::unique_lock<std::mutex> b_lock(be.buildMtx, std::defer_lock);
+    if (!de.ready.load(std::memory_order_acquire))
+        d_lock.lock();
+    if (!ie.ready.load(std::memory_order_acquire))
+        i_lock.lock();
+    if (!be.ready.load(std::memory_order_acquire))
+        b_lock.lock();
+    // Re-check under each latch: another builder may have finished the
+    // side while this one waited.
+    const bool want_d =
+        d_lock.owns_lock() && !de.ready.load(std::memory_order_relaxed);
+    const bool want_i =
+        i_lock.owns_lock() && !ie.ready.load(std::memory_order_relaxed);
+    const bool want_b =
+        b_lock.owns_lock() && !be.ready.load(std::memory_order_relaxed);
     if (!want_d && !want_i && !want_b)
         return;
 

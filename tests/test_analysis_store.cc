@@ -196,6 +196,47 @@ TEST(AnalysisStore, ConcurrentSameKeyHammerAnalyzesOnce)
     EXPECT_EQ(got[0]->numBranchAnalyses(), 1u);
 }
 
+// analyzeAll latches only the sides still missing: configs that differ
+// in the d-side but share a ready i-side and branch analysis build their
+// d-sides concurrently, each exactly once and bitwise equal to a fresh
+// per-side build.
+TEST(AnalysisStore, ConcurrentAnalyzeAllBuildsOnlyMissingSidesOnce)
+{
+    const RegionSpec region = regionAt(48);
+    RegionAnalysis shared(region);
+    const BranchConfig branch = UarchParams::armN1().branch;
+    shared.analyzeAll(MemoryConfig{}, branch);
+
+    const std::vector<uint32_t> l1d_kb = {16, 32, 64, 128};
+    constexpr int kThreads = 8;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            MemoryConfig mem;
+            mem.l1dKb = l1d_kb[t % l1d_kb.size()];
+            shared.analyzeAll(mem, branch);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
+    EXPECT_EQ(shared.numIsideAnalyses(), 1u);
+    EXPECT_EQ(shared.numBranchAnalyses(), 1u);
+    for (uint32_t kb : l1d_kb) {
+        MemoryConfig mem;
+        mem.l1dKb = kb;
+        RegionAnalysis fresh(region);
+        EXPECT_EQ(shared.dside(mem).execLat, fresh.dside(mem).execLat)
+            << kb << " KB L1d";
+    }
+    EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
+}
+
 /**
  * The PR-4 regression: grouped, store-backed labeling must leave shard
  * bytes and the manifest exactly as the per-sample path wrote them.

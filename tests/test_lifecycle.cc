@@ -663,6 +663,34 @@ TEST(CliExitCodes, LifecycleSubcommandsRejectMalformedFlags)
     EXPECT_EQ(cliExitCode("retrain"), 2);
 }
 
+TEST(CliExitCodes, ProgramSubcommandsRejectMalformedFlags)
+{
+    // Every case fails while parsing, before any model loads or trains.
+    EXPECT_EQ(cliExitCode("predict NOPE"), 2);
+    EXPECT_EQ(cliExitCode("predict S7 rob=0"), 2);
+    EXPECT_EQ(cliExitCode("predict S7 bp=maybe"), 2);
+    EXPECT_EQ(cliExitCode("attribute S7 0"), 2);
+    EXPECT_EQ(cliExitCode("simulate S7 wat"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 alpha=1.5"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 clients=abc"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 mode=fast"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 region=0"), 2);
+}
+
+TEST(CliExitCodes, IntegersOutsideTheirFieldRangeExit2)
+{
+    // Each value would silently wrap when narrowed to the field it is
+    // stored in (uint32_t chunks/region, uint16_t port).
+    const std::string dir = freshDir("cli_range");
+    EXPECT_EQ(cliExitCode("dataset out=" + dir + " samples=4 shard=4 "
+                          "chunks=4294967296"), 2);
+    EXPECT_EQ(cliExitCode("dataset out=" + dir + " samples=4 shard=4 "
+                          "chunks=4294967297"), 2);
+    EXPECT_FALSE(fileExists(DatasetManifest::manifestFile(dir)));
+    EXPECT_EQ(cliExitCode("serve S7 listen=70000"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 region=4294967296"), 2);
+}
+
 #endif // CONCORDE_CLI_PATH
 
 } // anonymous namespace

@@ -3,7 +3,8 @@
 # without GitHub Actions.
 #
 #   stage 1  configure (warnings fatal) + build everything (including the
-#            bench/e2e driver, build only) + full ctest
+#            bench/e2e driver, build only) + README CLI block == usage
+#            text + full ctest
 #   stage 2  ASan+UBSan build + full ctest, then a TSan build of the
 #            concurrency suites                   (SKIP_SANITIZE=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
@@ -24,6 +25,21 @@ cmake --build build --target bench -j "$JOBS"
 # over src/; a library change that breaks it fails here, not later.
 cmake -S bench/e2e -B build-e2e
 cmake --build build-e2e -j "$JOBS"
+# The README's CLI block must be concorde_cli's own usage text, which
+# the CLI prints to stderr (exit 2) when run without arguments.
+status=0
+./build/concorde_cli 2> build/cli_usage.txt > /dev/null || status=$?
+[ "$status" -eq 2 ] || {
+    echo "FAIL: concorde_cli without arguments exited $status, not 2"
+    exit 1
+}
+awk '/^## CLI usage/ { s = 1; next }
+     s && /^```/ { if (f) exit; f = 1; next }
+     f' README.md > build/cli_usage_readme.txt
+diff -u build/cli_usage_readme.txt build/cli_usage.txt || {
+    echo "FAIL: README's CLI block differs from concorde_cli's usage"
+    exit 1
+}
 # Golden tests run in their own labeled stage below, not twice.
 ctest --test-dir build -LE golden --output-on-failure -j "$JOBS"
 

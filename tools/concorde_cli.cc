@@ -2,33 +2,9 @@
  * @file
  * Command-line front end for the Concorde library.
  *
- *   concorde_cli predict <program> [param=value ...]
- *   concorde_cli sweep <program> <param> [param=value ...]
- *   concorde_cli attribute <program> [permutations] [param=value ...]
- *   concorde_cli simulate <program> [param=value ...]
- *   concorde_cli serve <program> [--model <artifact>] [clients=4
- *                                 requests=2000 batch=64 deadline_us=200
- *                                 cache=65536 burst=32 regions=4
- *                                 inflight=0 listen=<port>
- *                                 param=value ...]
- *   concorde_cli pipeline <program> [chunks=64 region=8 warmup=8 start=16
- *                                    threads=0 mode=sharded|scalar
- *                                    state=carry|independent
- *                                    param=value ...]
- *   concorde_cli dataset out=<dir> [samples=512 shard=128 chunks=8
- *                                   seed=99 threads=0 program=<code>
- *                                   max_shards=0 workers=0 respawns=3]
- *   concorde_cli dataset-worker out=<dir> shards=<i,j,...> [samples=
- *                                   shard= chunks= seed= threads=
- *                                   program=<code>]
- *   concorde_cli sweep-worker <program> <param> part=<w> nparts=<n>
- *                                   out=<file> [model=<artifact>
- *                                   param=value ...]
- *   concorde_cli train data=<dir|file> out=<artifact> [epochs=12 val=0.1
- *                                   batch=256 seed=1234 threads=0
- *                                   checkpoint=<file> max_epochs=0]
- *   concorde_cli eval model=<artifact> data=<dir|file>
- *   concorde_cli list
+ * Run it with no arguments for the usage text: every subcommand and its
+ * flags with their defaults, printed from the same flag tables that
+ * parse them (tools/cli_args.hh).
  *
  * The model lifecycle runs end to end through `dataset`, `train`, and
  * `eval`: `dataset` generates a sharded, resumable dataset directory
@@ -53,8 +29,9 @@
  * ARM N1. Models and datasets are cached under artifacts/ (the first
  * invocation trains them).
  *
- * Unknown subcommands, unknown parameters, and malformed values all
- * exit with status 2 and a usage message, so shell scripts and CI can
+ * Unknown subcommands, unknown parameters, and malformed or
+ * out-of-range values all exit with status 2 and a usage message, and a
+ * missing model or dataset file exits 1, so shell scripts and CI can
  * rely on the exit code.
  */
 
@@ -62,13 +39,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <cfloat>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,6 +63,7 @@
 #include "serve/net_server.hh"
 #include "serve/prediction_service.hh"
 #include "sim/o3_core.hh"
+#include "cli_args.hh"
 
 using namespace concorde;
 
@@ -114,87 +93,15 @@ const std::map<std::string, ParamId> kShortNames = {
     {"pf", ParamId::PrefetchDegree},
 };
 
-int
-usage()
-{
-    std::fprintf(stderr,
-        "usage: concorde_cli <command> [args]\n"
-        "  predict <program> [param=value ...]\n"
-        "  sweep <program> <param> [workers= respawns= out=<file> "
-        "model=<artifact>\n"
-        "                   param=value ...]\n"
-        "  attribute <program> [permutations] [param=value ...]\n"
-        "  simulate <program> [param=value ...]\n"
-        "  serve <program> [--model <artifact>] [clients= requests= "
-        "batch=\n"
-        "                   deadline_us= cache= burst= regions= threads= "
-        "inflight=\n"
-        "                   listen=<port> alpha= max_width= fallback=0|1\n"
-        "                   fallback_budget= fallback_reject=0|1 "
-        "feedback=<file>\n"
-        "                   param=value ...]\n"
-        "  pipeline <program> [chunks= region= warmup= start= threads=\n"
-        "                      mode=sharded|scalar state=carry|independent "
-        "param=value ...]\n"
-        "  dataset out=<dir> [samples= shard= chunks= seed= threads= "
-        "program=<code>\n"
-        "                      max_shards= workers= respawns=]\n"
-        "  dataset-worker out=<dir> shards=<i,j,...> [samples= shard= "
-        "chunks= seed=\n"
-        "                      threads= program=<code>]\n"
-        "  sweep-worker <program> <param> part= nparts= out=<file> "
-        "[model=<artifact>\n"
-        "                      param=value ...]\n"
-        "  train data=<dir|file> out=<artifact> [epochs= val= batch= "
-        "seed= threads=\n"
-        "                      checkpoint=<file> max_epochs= "
-        "feedback=<file>]\n"
-        "  eval model=<artifact> data=<dir|file>\n"
-        "  list\n"
-        "run with 'list' for programs and parameter names\n");
-    return 2;
-}
-
-/** Strict double parse: the whole string must be a finite number. */
-bool
-parseDouble(const std::string &text, double &value)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    value = std::strtod(text.c_str(), &end);
-    return end && *end == '\0' && errno != ERANGE
-        && std::isfinite(value);
-}
-
-/** Strict integer parse: the whole string must be an in-range number. */
-bool
-parseInt(const std::string &text, int64_t &value)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    value = std::strtoll(text.c_str(), &end, 10);
-    return end && *end == '\0' && errno != ERANGE;
-}
-
 /**
- * Apply one param=value override. Returns false (with a diagnostic) on
- * an unknown parameter or malformed value.
+ * Apply one uarch override (`key` is a short name from `list`). Returns
+ * false (with a diagnostic) on an unknown parameter or a malformed or
+ * out-of-range value.
  */
 bool
-applyOverride(UarchParams &params, const std::string &arg)
+applyOverride(UarchParams &params, const std::string &key,
+              const std::string &value)
 {
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-        std::fprintf(stderr, "malformed argument '%s' (expected "
-                     "param=value)\n", arg.c_str());
-        return false;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
     const auto it = kShortNames.find(key);
     if (it == kShortNames.end()) {
         std::fprintf(stderr, "unknown parameter '%s'\n", key.c_str());
@@ -210,7 +117,7 @@ applyOverride(UarchParams &params, const std::string &arg)
         return true;
     }
     int64_t parsed = 0;
-    if (!parseInt(value, parsed)) {
+    if (!cli::parseInteger(value, parsed)) {
         std::fprintf(stderr, "bad value '%s' for parameter '%s'\n",
                      value.c_str(), key.c_str());
         return false;
@@ -227,6 +134,85 @@ applyOverride(UarchParams &params, const std::string &arg)
     return true;
 }
 
+struct Command;
+
+/**
+ * One run of a subcommand. Every run function starts with parse(): with
+ * `usageOnly` set, parse() prints the command's usage entry from its
+ * flag table and ends the run instead, which is how usage() lists every
+ * subcommand from the same tables that parse them.
+ */
+struct Invocation
+{
+    explicit Invocation(const Command &cmd, bool usage_only = false)
+        : command(cmd), usageOnly(usage_only)
+    {
+    }
+
+    const Command &command;
+    const bool usageOnly;
+    /** The arguments after the command (and its <program>). */
+    std::vector<std::string> args;
+    const char *argv0 = "";
+    int pid = -1;
+    const char *code = "";
+    /** ARM N1 with the uarch overrides applied. */
+    UarchParams params = UarchParams::armN1();
+    /** The overrides as given, for forwarding to workers. */
+    std::vector<std::string> overrides;
+
+    /**
+     * Parse the flags after `operands` positional arguments. Returns 0
+     * to run on, else the exit code.
+     */
+    int parse(const std::vector<cli::Flag> &flags, size_t operands = 0);
+};
+
+struct Command
+{
+    const char *name;
+    /** Usage text between the name and the flags. */
+    const char *operands;
+    /** Runs on a <program> and takes uarch param=value overrides. */
+    bool program;
+    int (*run)(Invocation &);
+};
+
+int usage();
+
+int
+Invocation::parse(const std::vector<cli::Flag> &flags, size_t operands)
+{
+    if (usageOnly) {
+        cli::printUsage(stderr, std::string(command.name) + command.operands,
+                        flags, command.program);
+        return 2;
+    }
+    if (args.size() < operands)
+        return usage();
+    const auto collect = [this](const std::string &key,
+                                const std::string &value) {
+        overrides.push_back(key + "=" + value);
+        return applyOverride(params, key, value);
+    };
+    if (!cli::parse(flags,
+                    std::vector<std::string>(args.begin() + operands,
+                                             args.end()),
+                    command.program ? cli::Fallback(collect) : nullptr))
+        return usage();
+    return 0;
+}
+
+/** True if `path` exists; else says "<what> '<path>' not found". */
+bool
+found(const char *what, const std::string &path)
+{
+    if (fileExists(path))
+        return true;
+    std::fprintf(stderr, "%s '%s' not found\n", what, path.c_str());
+    return false;
+}
+
 RegionSpec
 regionFor(int pid)
 {
@@ -239,76 +225,126 @@ regionFor(int pid)
 }
 
 /**
- * Split args into serve-layer options (consumed into `options`,
- * `double_options`, `string_options`) and uarch overrides (applied to
- * `params`). `--model <path>` / `model=<path>` is consumed into
- * `model_path` when given. Returns false on any unknown key or
- * malformed value.
+ * The predictor to evaluate: an explicit artifact when one is given
+ * (what scaled-out sweep workers use, so none of them trains), else the
+ * cached full model.
  */
-bool
-parseServeArgs(int argc, char **argv, int first,
-               std::map<std::string, int64_t> &options, UarchParams &params,
-               std::string *model_path,
-               std::map<std::string, double> *double_options = nullptr,
-               std::map<std::string, std::string> *string_options = nullptr)
+ConcordePredictor
+loadPredictor(const std::string &model_path = "")
 {
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (model_path && arg == "--model") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--model needs an artifact path\n");
-                return false;
-            }
-            *model_path = argv[++i];
-            continue;
-        }
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (model_path && key == "model") {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for serve option "
-                             "'model'\n");
-                return false;
-            }
-            *model_path = arg.substr(eq + 1);
-            continue;
-        }
-        if (options.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            options[key] = value;
-            continue;
-        }
-        if (double_options && double_options->count(key)) {
-            double value = 0.0;
-            if (eq == std::string::npos
-                || !parseDouble(arg.substr(eq + 1), value) || value < 0.0) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (*double_options)[key] = value;
-            continue;
-        }
-        if (string_options && string_options->count(key)) {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (*string_options)[key] = arg.substr(eq + 1);
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return false;
+    if (model_path.empty()) {
+        return ConcordePredictor(artifacts::fullModel(),
+                                 artifacts::featureConfig());
     }
-    return true;
+    const ModelArtifact artifact = ModelArtifact::load(model_path);
+    return ConcordePredictor(artifact.model, artifact.features);
+}
+
+/**
+ * The region analysis predict and attribute evaluate, shared through
+ * the process-wide AnalysisStore: the cache the serve layer and dataset
+ * generation use too.
+ */
+FeatureProvider
+sharedProvider(int pid)
+{
+    return FeatureProvider(AnalysisStore::global().acquire(regionFor(pid)),
+                           artifacts::featureConfig());
+}
+
+int
+runPredict(Invocation &inv)
+{
+    if (const int rc = inv.parse({}))
+        return rc;
+    const ConcordePredictor predictor = loadPredictor();
+    FeatureProvider provider = sharedProvider(inv.pid);
+    const double cpi = predictor.predictCpi(provider, inv.params);
+    std::printf("%s @ %s\n  predicted CPI %.4f\n", inv.code,
+                inv.params.toString().c_str(), cpi);
+    return 0;
+}
+
+int
+runAttribute(Invocation &inv)
+{
+    // Optional positional permutation count before the overrides.
+    int permutations = 48;
+    int64_t parsed = 0;
+    if (!inv.args.empty() && cli::parseInteger(inv.args[0], parsed)) {
+        if (parsed < 1 || parsed > 1000000) {
+            std::fprintf(stderr, "permutations must be in [1, 1000000]\n");
+            return 2;
+        }
+        permutations = static_cast<int>(parsed);
+        inv.args.erase(inv.args.begin());
+    }
+    if (const int rc = inv.parse({}))
+        return rc;
+    const ConcordePredictor predictor = loadPredictor();
+    FeatureProvider provider = sharedProvider(inv.pid);
+
+    // Every permutation scan point is evaluated through one batched
+    // inference pass instead of thousands of scalar predictions, against
+    // the store-shared region analysis.
+    const BatchEval eval = [&](const std::vector<UarchParams> &pts) {
+        return predictor.predictCpiBatch(provider, pts);
+    };
+    const UarchParams base = UarchParams::bigCore();
+    ShapleyConfig config;
+    config.numPermutations = permutations;
+    const auto &components = attributionComponents();
+    const auto phi =
+        shapleyAttribution(base, inv.params, components, eval, config);
+    const auto endpoints = predictor.predictCpiBatch(
+        provider, std::vector<UarchParams>{base, inv.params});
+    std::printf("CPI attribution for %s (target vs big core):\n", inv.code);
+    std::printf("  big core %.3f -> target %.3f\n", endpoints[0],
+                endpoints[1]);
+    for (size_t c = 0; c < components.size(); ++c) {
+        if (std::abs(phi[c]) >= 0.005) {
+            std::printf("  %-30s %+8.3f\n", components[c].name.c_str(),
+                        phi[c]);
+        }
+    }
+    return 0;
+}
+
+int
+runSimulate(Invocation &inv)
+{
+    if (const int rc = inv.parse({}))
+        return rc;
+    RegionAnalysis analysis(regionFor(inv.pid));
+    const SimResult result = simulateRegion(inv.params, analysis);
+    std::printf("cycle-level simulation of %s @ %s\n", inv.code,
+                inv.params.toString().c_str());
+    std::printf("  CPI %.4f (%llu cycles, %llu instructions, "
+                "%llu mispredicts)\n", result.cpi(),
+                static_cast<unsigned long long>(result.cycles),
+                static_cast<unsigned long long>(result.instructions),
+                static_cast<unsigned long long>(result.branchMispredicts));
+    return 0;
+}
+
+int
+runList(Invocation &inv)
+{
+    if (const int rc = inv.parse({}))
+        return rc;
+    std::printf("programs:\n");
+    for (const auto &info : workloadCorpus()) {
+        std::printf("  %-5s %s (%s)\n", info.code().c_str(),
+                    info.profile.name.c_str(), info.profile.group.c_str());
+    }
+    std::printf("\nparameters (short=long, ARM N1 default):\n");
+    const UarchParams n1 = UarchParams::armN1();
+    for (const auto &[name, id] : kShortNames) {
+        std::printf("  %-8s %-38s %lld\n", name.c_str(),
+                    paramTable()[static_cast<int>(id)].name,
+                    static_cast<long long>(n1.get(id)));
+    }
+    return 0;
 }
 
 std::atomic<bool> g_stopServing{false};
@@ -319,40 +355,68 @@ onStopSignal(int)
     g_stopServing.store(true);
 }
 
-int
-runServe(int pid, const char *code, int argc, char **argv)
+/** The serving-route counters both serve modes end with. */
+void
+printRoutes(const serve::ServeStats &stats)
 {
-    std::map<std::string, int64_t> opt = {
-        {"clients", 4},   {"requests", 2000}, {"batch", 64},
-        {"deadline_us", 200}, {"cache", 65536}, {"burst", 32},
-        {"regions", 4},   {"threads", 0},     {"listen", -1},
-        {"inflight", 0},  {"fallback", 0},    {"fallback_budget", 2},
-        {"fallback_reject", 0},
-    };
-    std::map<std::string, double> dopt = {
-        {"alpha", 0.1}, {"max_width", 0.0},
-    };
-    std::map<std::string, std::string> sopt = {
-        {"feedback", ""},
-    };
-    UarchParams base = UarchParams::armN1();
-    std::string model_path;
-    if (!parseServeArgs(argc, argv, 3, opt, base, &model_path, &dopt,
-                        &sopt))
-        return usage();
-    if (dopt["alpha"] <= 0.0 || dopt["alpha"] >= 1.0) {
-        std::fprintf(stderr, "alpha must be in (0, 1)\n");
-        return usage();
+    std::printf("  routes: fast=%llu fallback_sim=%llu flagged_ood=%llu "
+                "fallback_rejected=%llu feedback_appended=%llu\n",
+                static_cast<unsigned long long>(stats.servedFast),
+                static_cast<unsigned long long>(stats.servedFallbackSim),
+                static_cast<unsigned long long>(stats.flaggedOod),
+                static_cast<unsigned long long>(
+                    stats.fallbackRejectedOverload),
+                static_cast<unsigned long long>(stats.feedbackAppended));
+}
+
+int
+runServe(Invocation &inv)
+{
+    // `--model <path>` is an alias of model=<path>.
+    std::vector<std::string> args;
+    for (size_t i = 0; i < inv.args.size(); ++i) {
+        const bool alias =
+            inv.args[i] == "--model" && i + 1 < inv.args.size();
+        args.push_back(alias ? "model=" + inv.args[++i] : inv.args[i]);
     }
-    const size_t clients = std::max<int64_t>(1, opt["clients"]);
-    const size_t requests = std::max<int64_t>(1, opt["requests"]);
-    const size_t num_regions = std::max<int64_t>(1, opt["regions"]);
-    const size_t burst = std::max<int64_t>(1, opt["burst"]);
+    inv.args = args;
 
     serve::ServeConfig config;
-    const size_t maxBatch =
-        static_cast<size_t>(std::max<int64_t>(1, opt["batch"]));
-    const auto maxAge = std::chrono::microseconds(opt["deadline_us"]);
+    config.poolThreads = 0;
+    serve::UncertaintyConfig &u = config.uncertainty;
+    size_t clients = 4, requests = 2000, batch = 64, burst = 32;
+    size_t num_regions = 4;
+    uint32_t deadline_us = 200;
+    std::optional<uint16_t> listen;
+    std::string model_path;
+    if (const int rc = inv.parse({
+            cli::integer("clients", clients),
+            cli::integer("requests", requests),
+            cli::integer("batch", batch),
+            cli::integer("deadline_us", deadline_us),
+            cli::integer("cache", config.cacheCapacity),
+            cli::integer("burst", burst),
+            cli::integer("regions", num_regions),
+            cli::integer("threads", config.poolThreads),
+            cli::integer("inflight", config.batching.maxInFlightPerKey),
+            cli::integer("listen", listen, "<port>"),
+            cli::real("alpha", u.alpha, std::nextafter(0.0, 1.0),
+                      std::nextafter(1.0, 0.0)),
+            cli::real("max_width", u.maxRelWidth, 0.0, DBL_MAX),
+            cli::integer("fallback", u.fallbackEnabled),
+            cli::integer("fallback_budget", u.maxFallbackInFlight),
+            cli::integer("fallback_reject", u.rejectOnBudget),
+            cli::text("feedback", u.feedbackPath, "<file>"),
+            cli::text("model", model_path, "<artifact>"),
+        }))
+        return rc;
+    clients = std::max<size_t>(1, clients);
+    requests = std::max<size_t>(1, requests);
+    num_regions = std::max<size_t>(1, num_regions);
+    burst = std::max<size_t>(1, burst);
+
+    const size_t maxBatch = std::max<size_t>(1, batch);
+    const auto maxAge = std::chrono::microseconds(deadline_us);
     // The batch/deadline knobs set the bulk (throughput) class; the
     // interactive class stays on small, young batches so the tail is
     // never gated on filling a bulk-sized batch.
@@ -360,30 +424,13 @@ runServe(int pid, const char *code, int argc, char **argv)
     config.batching.policy(serve::RequestClass::Interactive) = {
         std::max<size_t>(1, maxBatch / 4),
         std::min(maxAge, std::chrono::microseconds(50))};
-    config.batching.maxInFlightPerKey =
-        static_cast<size_t>(opt["inflight"]);
-    config.cacheCapacity = static_cast<size_t>(opt["cache"]);
-    config.poolThreads = opt["threads"] == 0
-        ? defaultThreads() : static_cast<size_t>(opt["threads"]);
-    config.uncertainty.alpha = dopt["alpha"];
-    config.uncertainty.maxRelWidth = dopt["max_width"];
-    config.uncertainty.fallbackEnabled = opt["fallback"] != 0;
-    config.uncertainty.maxFallbackInFlight =
-        static_cast<size_t>(opt["fallback_budget"]);
-    config.uncertainty.rejectOnBudget = opt["fallback_reject"] != 0;
-    config.uncertainty.feedbackPath = sopt["feedback"];
 
     serve::PredictionService service(config);
     if (model_path.empty()) {
-        service.registry().add(
-            "default", ConcordePredictor(artifacts::fullModel(),
-                                         artifacts::featureConfig()));
+        service.registry().add("default", loadPredictor());
     } else {
-        if (!fileExists(model_path)) {
-            std::fprintf(stderr, "model artifact '%s' not found\n",
-                         model_path.c_str());
+        if (!found("model artifact", model_path))
             return 1;
-        }
         const serve::ModelHandle handle =
             service.loadModel("default", model_path);
         std::printf("loaded artifact %s (trained %llu epochs, held-out "
@@ -414,12 +461,12 @@ runServe(int pid, const char *code, int argc, char **argv)
     // of the program (warm regions are the serving common case).
     std::vector<RegionSpec> regions;
     for (size_t r = 0; r < num_regions; ++r) {
-        RegionSpec spec = regionFor(pid);
+        RegionSpec spec = regionFor(inv.pid);
         spec.startChunk = 16 + 8 * r;
         regions.push_back(spec);
     }
     std::printf("serving %s: %zu clients x %zu requests, bulk<=%zu/"
-                "%lldus, interactive<=%zu/%lldus, cache %zu\n", code,
+                "%lldus, interactive<=%zu/%lldus, cache %zu\n", inv.code,
                 clients, requests,
                 config.batching.policy(serve::RequestClass::Bulk).maxBatch,
                 static_cast<long long>(
@@ -435,13 +482,13 @@ runServe(int pid, const char *code, int argc, char **argv)
     // Warm path: build the region analyses and provider state, and
     // pre-answer the base point, so the measured phase (or the first
     // network client) sees steady-state serving.
-    (void)service.warmRegions("default", regions, {base});
+    (void)service.warmRegions("default", regions, {inv.params});
 
-    if (opt["listen"] >= 0) {
+    if (listen) {
         // Network mode: expose the warmed service over the wire
         // protocol and block until SIGINT/SIGTERM.
         serve::NetServerConfig netCfg;
-        netCfg.port = static_cast<uint16_t>(opt["listen"]);
+        netCfg.port = *listen;
         serve::NetServer server(service, netCfg);
         server.start();
         std::printf("listening on %s:%u (ctrl-c to stop)\n",
@@ -466,17 +513,7 @@ runServe(int pid, const char *code, int argc, char **argv)
         std::printf("  service latency p50 %.0fus  p90 %.0fus  "
                     "p99 %.0fus\n", sstats.latency.p50Us,
                     sstats.latency.p90Us, sstats.latency.p99Us);
-        std::printf("  routes: fast=%llu fallback_sim=%llu "
-                    "flagged_ood=%llu fallback_rejected=%llu "
-                    "feedback_appended=%llu\n",
-                    static_cast<unsigned long long>(sstats.servedFast),
-                    static_cast<unsigned long long>(
-                        sstats.servedFallbackSim),
-                    static_cast<unsigned long long>(sstats.flaggedOod),
-                    static_cast<unsigned long long>(
-                        sstats.fallbackRejectedOverload),
-                    static_cast<unsigned long long>(
-                        sstats.feedbackAppended));
+        printRoutes(sstats);
         return 0;
     }
 
@@ -486,7 +523,7 @@ runServe(int pid, const char *code, int argc, char **argv)
     for (size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c]() {
             Rng rng(1000 + c);
-            UarchParams point = base;
+            UarchParams point = inv.params;
             auto &lat = latencies[c];
             size_t sent = 0;
             while (sent < requests) {
@@ -569,102 +606,48 @@ runServe(int pid, const char *code, int argc, char **argv)
                             stats.byStatus[s]));
         }
     }
-    std::printf("\n  routes: fast=%llu fallback_sim=%llu flagged_ood=%llu "
-                "fallback_rejected=%llu feedback_appended=%llu\n",
-                static_cast<unsigned long long>(stats.servedFast),
-                static_cast<unsigned long long>(stats.servedFallbackSim),
-                static_cast<unsigned long long>(stats.flaggedOod),
-                static_cast<unsigned long long>(
-                    stats.fallbackRejectedOverload),
-                static_cast<unsigned long long>(stats.feedbackAppended));
+    std::printf("\n");
+    printRoutes(stats);
     return 0;
 }
 
 int
-runPipeline(int pid, const char *code, int argc, char **argv)
+runPipeline(Invocation &inv)
 {
-    std::map<std::string, int64_t> opt = {
-        {"chunks", 64}, {"region", 8}, {"warmup", 8}, {"start", 16},
-        {"threads", 0},
-    };
+    TraceSpan span;
+    span.programId = inv.pid;
+    span.startChunk = 16;
+    pipeline::PipelineConfig config;
     std::string mode = "sharded";
     std::string state = "carry";
-    UarchParams params = UarchParams::armN1();
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (key == "mode" || key == "state") {
-            if (eq == std::string::npos)
-                return usage();
-            const std::string value = arg.substr(eq + 1);
-            if (key == "mode") {
-                if (value != "scalar" && value != "sharded") {
-                    std::fprintf(stderr, "bad mode '%s' (scalar|sharded)\n",
-                                 value.c_str());
-                    return 2;
-                }
-                mode = value;
-            } else {
-                if (value != "independent" && value != "carry") {
-                    std::fprintf(stderr, "bad state '%s' (independent|"
-                                 "carry)\n", value.c_str());
-                    return 2;
-                }
-                state = value;
-            }
-            continue;
-        }
-        if (opt.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for pipeline option "
-                             "'%s'\n", key.c_str());
-                return 2;
-            }
-            opt[key] = value;
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return 2;
-    }
-    if (opt["chunks"] < 1 || opt["region"] < 1) {
-        std::fprintf(stderr, "chunks and region must be positive\n");
-        return 2;
-    }
-
-    TraceSpan span;
-    span.programId = pid;
-    span.traceId = 0;
-    span.startChunk = static_cast<uint64_t>(opt["start"]);
-    span.numChunks = static_cast<uint64_t>(opt["chunks"]);
-
-    pipeline::PipelineConfig config;
-    config.regionChunks = static_cast<uint32_t>(opt["region"]);
-    config.warmupChunks = static_cast<uint32_t>(opt["warmup"]);
+    if (const int rc = inv.parse({
+            cli::integer("chunks", span.numChunks).atLeast(1),
+            cli::integer("region", config.regionChunks).atLeast(1),
+            cli::integer("warmup", config.warmupChunks),
+            cli::integer("start", span.startChunk),
+            cli::integer("threads", config.threads),
+            cli::text("mode", mode, "", {"sharded", "scalar"}),
+            cli::text("state", state, "", {"carry", "independent"}),
+        }))
+        return rc;
     config.mode = mode == "scalar" ? pipeline::ExecMode::Scalar
         : pipeline::ExecMode::Sharded;
     config.state = state == "carry" ? pipeline::StateMode::Carry
         : pipeline::StateMode::Independent;
-    config.threads = static_cast<size_t>(opt["threads"]);
 
-    ConcordePredictor predictor(artifacts::fullModel(),
-                                artifacts::featureConfig());
+    const ConcordePredictor predictor = loadPredictor();
     std::printf("pipeline over %s: %llu chunks (%.1fk instructions), "
-                "regions of %lld chunks, mode %s/%s\n", code,
+                "regions of %u chunks, mode %s/%s\n", inv.code,
                 static_cast<unsigned long long>(span.numChunks),
                 static_cast<double>(span.numInstructions()) / 1000.0,
-                static_cast<long long>(opt["region"]), mode.c_str(),
-                state.c_str());
+                config.regionChunks, mode.c_str(), state.c_str());
 
     // Independent-state runs share region analyses with the rest of the
     // process through the global store (Carry analyses are never cached).
     config.analysisStore = &AnalysisStore::global();
 
     pipeline::AnalysisPipeline pipe(predictor, config);
-    const pipeline::PipelineResult result = pipe.run(span, params);
+    const pipeline::PipelineResult result = pipe.run(span, inv.params);
 
     std::printf("  program CPI %.4f over %zu regions (%llu "
                 "instructions)\n", result.programCpi,
@@ -744,7 +727,7 @@ crashAfterShardsEnv()
     if (!env || !*env)
         return 0;
     int64_t parsed = 0;
-    if (!parseInt(env, parsed) || parsed < 1)
+    if (!cli::parseInteger(env, parsed) || parsed < 1)
         return 0;
     return static_cast<size_t>(parsed);
 }
@@ -759,7 +742,7 @@ parseShardList(const std::string &text, std::vector<size_t> &shards)
         const std::string item = text.substr(
             at, comma == std::string::npos ? std::string::npos : comma - at);
         int64_t parsed = 0;
-        if (!parseInt(item, parsed) || parsed < 0)
+        if (!cli::parseInteger(item, parsed) || parsed < 0)
             return false;
         shards.push_back(static_cast<size_t>(parsed));
         if (comma == std::string::npos)
@@ -769,76 +752,68 @@ parseShardList(const std::string &text, std::vector<size_t> &shards)
     return !shards.empty();
 }
 
-int
-runDataset(int argc, char **argv)
+/**
+ * The flags `dataset` and `dataset-worker` share, bound to the
+ * DatasetConfig both build.
+ */
+struct DatasetArgs
 {
-    std::map<std::string, int64_t> opt = {
-        {"samples", 512}, {"shard", 128}, {"chunks", 8}, {"seed", 99},
-        {"threads", 0},   {"max_shards", 0}, {"workers", 0},
-        {"respawns", 3},
-    };
-    std::string out_dir;
-    std::string program;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "out") {
-            out_dir = value;
-            continue;
-        }
-        if (key == "program") {
-            program = value;
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown dataset option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for dataset option "
-                         "'%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (out_dir.empty()) {
-        std::fprintf(stderr, "dataset requires out=<dir>\n");
-        return usage();
-    }
-    if (opt["samples"] < 1 || opt["shard"] < 1 || opt["chunks"] < 1) {
-        std::fprintf(stderr, "samples, shard, and chunks must be "
-                     "positive\n");
-        return usage();
-    }
-
     DatasetConfig config;
-    config.numSamples = static_cast<size_t>(opt["samples"]);
-    config.regionChunks = static_cast<uint32_t>(opt["chunks"]);
-    config.seed = static_cast<uint64_t>(opt["seed"]);
-    config.features = artifacts::featureConfig();
-    config.threads = static_cast<size_t>(opt["threads"]);
-    if (!program.empty()) {
+    std::string out;
+    std::string program;
+    size_t shardSamples = 128;
+
+    DatasetArgs() { config.numSamples = 512; }
+
+    /**
+     * Parse the shared flags plus `extra`, and finish the config (the
+     * feature layout, program= as a program filter). Returns 0 to run
+     * on, else the exit code.
+     */
+    int
+    parse(Invocation &inv, std::vector<cli::Flag> extra)
+    {
+        std::vector<cli::Flag> flags = {
+            cli::text("out", out, "<dir>").require(),
+            cli::integer("samples", config.numSamples).atLeast(1),
+            cli::integer("shard", shardSamples).atLeast(1),
+            cli::integer("chunks", config.regionChunks).atLeast(1),
+            cli::integer("seed", config.seed),
+            cli::integer("threads", config.threads),
+            cli::text("program", program, "<code>"),
+        };
+        flags.insert(flags.end(), extra.begin(), extra.end());
+        if (const int rc = inv.parse(flags))
+            return rc;
+        config.features = artifacts::featureConfig();
+        if (program.empty())
+            return 0;
         const int pid = programIdByCode(program);
         if (pid < 0) {
-            std::fprintf(stderr, "unknown program '%s'\n",
-                         program.c_str());
+            std::fprintf(stderr, "unknown program '%s'\n", program.c_str());
             return 2;
         }
         config.programFilter = {pid};
+        return 0;
     }
+};
 
-    if (opt["workers"] > 0) {
-        if (opt["max_shards"] > 0) {
+int
+runDataset(Invocation &inv)
+{
+    DatasetArgs opt;
+    size_t max_shards = 0, workers = 0, respawns = 3;
+    if (const int rc = opt.parse(inv, {
+            cli::integer("max_shards", max_shards),
+            cli::integer("workers", workers),
+            cli::integer("respawns", respawns),
+        }))
+        return rc;
+    const DatasetConfig &config = opt.config;
+    const std::string &out_dir = opt.out;
+
+    if (workers > 0) {
+        if (max_shards > 0) {
             std::fprintf(stderr, "max_shards= bounds one in-process run; "
                          "it does not combine with workers=\n");
             return usage();
@@ -849,8 +824,8 @@ runDataset(int argc, char **argv)
         // complete or the respawn budget runs out. Workers resume from
         // published shards, so a respawn never redoes finished work.
         Stopwatch timer;
-        const DatasetManifest manifest = ensureDatasetManifest(
-            config, out_dir, static_cast<size_t>(opt["shard"]));
+        const DatasetManifest manifest =
+            ensureDatasetManifest(config, out_dir, opt.shardSamples);
         repairDatasetDir(out_dir, manifest);
         const std::vector<size_t> missing =
             missingDatasetShards(out_dir, manifest);
@@ -861,9 +836,8 @@ runDataset(int argc, char **argv)
                             datasetManifestHash(out_dir)));
             return 0;
         }
-        const size_t n = std::min<size_t>(
-            static_cast<size_t>(opt["workers"]), missing.size());
-        const std::string exe = selfExePath(argv[0]);
+        const size_t n = std::min(workers, missing.size());
+        const std::string exe = selfExePath(inv.argv0);
         std::vector<std::vector<std::string>> argvs(n);
         for (size_t w = 0; w < n; ++w) {
             std::string shards_arg;
@@ -873,21 +847,20 @@ runDataset(int argc, char **argv)
                 shards_arg += std::to_string(missing[i]);
             }
             argvs[w] = {exe, "dataset-worker", "out=" + out_dir,
-                        "samples=" + std::to_string(opt["samples"]),
-                        "shard=" + std::to_string(opt["shard"]),
-                        "chunks=" + std::to_string(opt["chunks"]),
-                        "seed=" + std::to_string(opt["seed"]),
-                        "threads=" + std::to_string(opt["threads"])};
-            if (!program.empty())
-                argvs[w].push_back("program=" + program);
+                        "samples=" + std::to_string(config.numSamples),
+                        "shard=" + std::to_string(opt.shardSamples),
+                        "chunks=" + std::to_string(config.regionChunks),
+                        "seed=" + std::to_string(config.seed),
+                        "threads=" + std::to_string(config.threads)};
+            if (!opt.program.empty())
+                argvs[w].push_back("program=" + opt.program);
             argvs[w].push_back("shards=" + shards_arg);
         }
         std::printf("dataset %s: %zu missing shards across %zu "
                     "workers\n", out_dir.c_str(), missing.size(), n);
         std::fflush(stdout);
         ProcessPool pool;
-        const bool ok = pool.superviseAll(
-            argvs, static_cast<size_t>(opt["respawns"]));
+        const bool ok = pool.superviseAll(argvs, respawns);
         const std::vector<size_t> still_missing =
             missingDatasetShards(out_dir, manifest);
         if (!ok || !still_missing.empty()) {
@@ -905,8 +878,7 @@ runDataset(int argc, char **argv)
 
     Stopwatch timer;
     const ShardedBuildResult result = buildDatasetShards(
-        config, out_dir, static_cast<size_t>(opt["shard"]),
-        static_cast<size_t>(opt["max_shards"]));
+        config, out_dir, opt.shardSamples, max_shards);
     std::printf("dataset %s: %zu shards built, %zu resumed from disk "
                 "(%.1fs)\n", out_dir.c_str(), result.shardsBuilt,
                 result.shardsSkipped, timer.seconds());
@@ -914,11 +886,9 @@ runDataset(int argc, char **argv)
         std::printf("  %zu shards remaining -- rerun the same command "
                     "to resume\n", result.shardsRemaining);
     } else {
-        std::printf("  complete: %lld samples of %lld chunks, manifest "
-                    "hash %016llx\n",
-                    static_cast<long long>(opt["samples"]),
-                    static_cast<long long>(opt["chunks"]),
-                    static_cast<unsigned long long>(
+        std::printf("  complete: %zu samples of %u chunks, manifest "
+                    "hash %016llx\n", config.numSamples,
+                    config.regionChunks, static_cast<unsigned long long>(
                         datasetManifestHash(out_dir)));
     }
     return 0;
@@ -931,85 +901,22 @@ runDataset(int argc, char **argv)
  * skipped), so a respawned worker converges instead of redoing work.
  */
 int
-runDatasetWorker(int argc, char **argv)
+runDatasetWorker(Invocation &inv)
 {
-    std::map<std::string, int64_t> opt = {
-        {"samples", 512}, {"shard", 128}, {"chunks", 8}, {"seed", 99},
-        {"threads", 0},
-    };
-    std::string out_dir, program, shards_arg;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "out") {
-            out_dir = value;
-            continue;
-        }
-        if (key == "program") {
-            program = value;
-            continue;
-        }
-        if (key == "shards") {
-            shards_arg = value;
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown dataset-worker option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for dataset-worker "
-                         "option '%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (out_dir.empty() || shards_arg.empty()) {
-        std::fprintf(stderr, "dataset-worker requires out=<dir> and "
-                     "shards=<i,j,...>\n");
-        return usage();
-    }
+    DatasetArgs opt;
+    std::string shards_arg;
+    if (const int rc = opt.parse(
+            inv, {cli::text("shards", shards_arg, "<i,j,...>").require()}))
+        return rc;
     std::vector<size_t> shards;
     if (!parseShardList(shards_arg, shards)) {
         std::fprintf(stderr, "bad shard list '%s'\n", shards_arg.c_str());
         return usage();
     }
-    if (opt["samples"] < 1 || opt["shard"] < 1 || opt["chunks"] < 1) {
-        std::fprintf(stderr, "samples, shard, and chunks must be "
-                     "positive\n");
-        return usage();
-    }
-
-    DatasetConfig config;
-    config.numSamples = static_cast<size_t>(opt["samples"]);
-    config.regionChunks = static_cast<uint32_t>(opt["chunks"]);
-    config.seed = static_cast<uint64_t>(opt["seed"]);
-    config.features = artifacts::featureConfig();
-    config.threads = static_cast<size_t>(opt["threads"]);
-    if (!program.empty()) {
-        const int pid = programIdByCode(program);
-        if (pid < 0) {
-            std::fprintf(stderr, "unknown program '%s'\n",
-                         program.c_str());
-            return 2;
-        }
-        config.programFilter = {pid};
-    }
 
     const size_t crash_after = crashAfterShardsEnv();
     const ShardedBuildResult result = buildDatasetShardSet(
-        config, out_dir, static_cast<size_t>(opt["shard"]), shards,
-        crash_after);
+        opt.config, opt.out, opt.shardSamples, shards, crash_after);
     if (crash_after > 0 && !result.complete()) {
         // Injected crash (see crashAfterShardsEnv): die abruptly, the
         // way a real worker loss looks to the supervisor.
@@ -1019,73 +926,29 @@ runDatasetWorker(int argc, char **argv)
 }
 
 int
-runTrain(int argc, char **argv)
+runTrain(Invocation &inv)
 {
-    std::map<std::string, int64_t> opt = {
-        {"epochs", 12}, {"batch", 256}, {"seed", 1234}, {"threads", 0},
-        {"max_epochs", 0},
-    };
+    TrainConfig tc;
+    tc.epochs = 12;
+    tc.batchSize = 256;
+    tc.valFraction = 0.1;
+    tc.verbose = true;
     std::string data_path, out_path, checkpoint, feedback_path;
-    double val_fraction = 0.1;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "data") {
-            data_path = value;
-            continue;
-        }
-        if (key == "out") {
-            out_path = value;
-            continue;
-        }
-        if (key == "checkpoint") {
-            checkpoint = value;
-            continue;
-        }
-        if (key == "feedback") {
-            feedback_path = value;
-            continue;
-        }
-        if (key == "val") {
-            if (!parseDouble(value, val_fraction) || val_fraction < 0.0
-                || val_fraction >= 1.0) {
-                std::fprintf(stderr, "bad value '%s' for 'val' (need "
-                             "[0, 1))\n", value.c_str());
-                return usage();
-            }
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown train option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for train option "
-                         "'%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (data_path.empty() || out_path.empty()) {
-        std::fprintf(stderr, "train requires data=<dir|file> and "
-                     "out=<artifact>\n");
-        return usage();
-    }
-    if (opt["epochs"] < 1 || opt["batch"] < 1) {
-        std::fprintf(stderr, "epochs and batch must be positive\n");
-        return usage();
-    }
-    if (opt["max_epochs"] > 0 && checkpoint.empty()) {
+    size_t max_epochs = 0;
+    if (const int rc = inv.parse({
+            cli::text("data", data_path, "<dir|file>").require(),
+            cli::text("out", out_path, "<artifact>").require(),
+            cli::integer("epochs", tc.epochs).atLeast(1),
+            cli::real("val", tc.valFraction, 0.0, std::nextafter(1.0, 0.0)),
+            cli::integer("batch", tc.batchSize).atLeast(1),
+            cli::integer("seed", tc.seed),
+            cli::integer("threads", tc.threads),
+            cli::text("checkpoint", checkpoint, "<file>"),
+            cli::integer("max_epochs", max_epochs),
+            cli::text("feedback", feedback_path, "<file>"),
+        }))
+        return rc;
+    if (max_epochs > 0 && checkpoint.empty()) {
         // Without a checkpoint the partial run's work would be lost.
         std::fprintf(stderr, "max_epochs= requires checkpoint= (a "
                      "partial run persists nothing otherwise)\n");
@@ -1102,11 +965,8 @@ runTrain(int argc, char **argv)
     if (!feedback_path.empty()) {
         // Active-learning loop: fold the serving layer's fallback
         // feedback file (simulator-labeled OOD requests) into this run.
-        if (!fileExists(feedback_path)) {
-            std::fprintf(stderr, "feedback file '%s' not found\n",
-                         feedback_path.c_str());
+        if (!found("feedback file", feedback_path))
             return 1;
-        }
         const Dataset feedback = Dataset::load(feedback_path);
         fatal_if(feedback.dim != data.dim,
                  "feedback dim %zu does not match dataset dim %zu",
@@ -1117,21 +977,13 @@ runTrain(int argc, char **argv)
                     feedback_path.c_str());
     }
 
-    TrainConfig tc;
-    tc.epochs = static_cast<size_t>(opt["epochs"]);
-    tc.batchSize = static_cast<size_t>(opt["batch"]);
-    tc.seed = static_cast<uint64_t>(opt["seed"]);
-    tc.threads = static_cast<size_t>(opt["threads"]);
-    tc.valFraction = val_fraction;
-    tc.verbose = true;
-
     std::printf("training on %zu samples (dim %zu, val fraction %.2f, "
-                "%zu epochs)\n", data.size(), data.dim, val_fraction,
+                "%zu epochs)\n", data.size(), data.dim, tc.valFraction,
                 tc.epochs);
     Stopwatch timer;
     const TrainRun run = trainMlpResumable(
         data.features, data.labels, data.dim, tc, nullptr, checkpoint,
-        static_cast<size_t>(opt["max_epochs"]));
+        max_epochs);
     if (!run.finished) {
         std::printf("stopped after %zu/%zu epochs (%.1fs); rerun with "
                     "the same checkpoint to resume\n",
@@ -1176,39 +1028,16 @@ runTrain(int argc, char **argv)
 }
 
 int
-runEval(int argc, char **argv)
+runEval(Invocation &inv)
 {
     std::string model_path, data_path;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "model") {
-            model_path = value;
-        } else if (key == "data") {
-            data_path = value;
-        } else {
-            std::fprintf(stderr, "unknown eval option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-    }
-    if (model_path.empty() || data_path.empty()) {
-        std::fprintf(stderr, "eval requires model=<artifact> and "
-                     "data=<dir|file>\n");
-        return usage();
-    }
-    if (!fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
+    if (const int rc = inv.parse({
+            cli::text("model", model_path, "<artifact>").require(),
+            cli::text("data", data_path, "<dir|file>").require(),
+        }))
+        return rc;
+    if (!found("model artifact", model_path))
         return 1;
-    }
 
     const ModelArtifact artifact = ModelArtifact::load(model_path);
     Dataset data;
@@ -1290,104 +1119,64 @@ printSweepTable(ParamId id, const char *code,
     }
 }
 
-/**
- * The predictor a sweep evaluates: an explicit artifact when model= is
- * given (what scaled-out workers use, so none of them trains), else the
- * cached full model.
- */
-ConcordePredictor
-sweepPredictor(const std::string &model_path)
+/** The operand and model flag `sweep` and `sweep-worker` share. */
+struct SweepArgs
 {
-    if (model_path.empty()) {
-        return ConcordePredictor(artifacts::fullModel(),
-                                 artifacts::featureConfig());
-    }
-    const ModelArtifact artifact = ModelArtifact::load(model_path);
-    return ConcordePredictor(artifact.model, artifact.features);
-}
+    ParamId param = ParamId::RobSize;
+    std::string model;
 
-/**
- * Parse the shared sweep/sweep-worker argument tail: option keys into
- * `opt`/`out_path`/`model_path`, everything else as a uarch override
- * (raw strings also collected for forwarding to workers).
- */
-bool
-parseSweepArgs(int argc, char **argv, std::map<std::string, int64_t> &opt,
-               UarchParams &params, std::string &out_path,
-               std::string &model_path,
-               std::vector<std::string> &override_args)
-{
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (key == "out" || key == "model") {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for sweep option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (key == "out" ? out_path : model_path) = arg.substr(eq + 1);
-            continue;
+    /**
+     * Parse `<param>`, the command's own flags (which bind out=) and the
+     * shared model=, and check that an explicit model artifact exists.
+     * Returns 0 to run on, else the exit code.
+     */
+    int
+    parse(Invocation &inv, std::vector<cli::Flag> flags)
+    {
+        flags.push_back(cli::text("model", model, "<artifact>"));
+        if (const int rc = inv.parse(flags, 1))
+            return rc;
+        const auto it = kShortNames.find(inv.args[0]);
+        if (it == kShortNames.end()) {
+            std::fprintf(stderr, "unknown parameter '%s'\n",
+                         inv.args[0].c_str());
+            return 2;
         }
-        if (opt.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for sweep option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            opt[key] = value;
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return false;
-        override_args.push_back(arg);
+        param = it->second;
+        return model.empty() || found("model artifact", model) ? 0 : 1;
     }
-    return true;
-}
+};
 
 int
-runSweep(int pid, const char *code, int argc, char **argv)
+runSweep(Invocation &inv)
 {
-    if (argc < 4)
-        return usage();
-    const auto it = kShortNames.find(argv[3]);
-    if (it == kShortNames.end()) {
-        std::fprintf(stderr, "unknown parameter '%s'\n", argv[3]);
-        return 2;
-    }
-    UarchParams params = UarchParams::armN1();
-    std::map<std::string, int64_t> opt = {{"workers", 0}, {"respawns", 3}};
-    std::string out_path, model_path;
-    std::vector<std::string> override_args;
-    if (!parseSweepArgs(argc, argv, opt, params, out_path, model_path,
-                        override_args))
-        return usage();
-    if (!model_path.empty() && !fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
-        return 1;
-    }
+    SweepArgs opt;
+    size_t workers = 0, respawns = 3;
+    std::string out_path;
+    if (const int rc = opt.parse(inv, {
+            cli::integer("workers", workers),
+            cli::integer("respawns", respawns),
+            cli::text("out", out_path, "<file>"),
+        }))
+        return rc;
 
-    const auto values = sweepValues(it->second, true);
+    const auto values = sweepValues(opt.param, true);
     std::vector<UarchParams> points;
     points.reserve(values.size());
+    UarchParams params = inv.params;
     for (int64_t value : values) {
-        params.set(it->second, value);
+        params.set(opt.param, value);
         points.push_back(params);
     }
 
-    if (opt["workers"] == 0) {
+    if (workers == 0) {
         // The DSE fast path: one store-shared analysis, one provider's
         // memo caches across the grid, one batched-inference pass.
-        const ConcordePredictor predictor = sweepPredictor(model_path);
-        const auto cpis = predictor.predictSweep(regionFor(pid), points);
+        const ConcordePredictor predictor = loadPredictor(opt.model);
+        const auto cpis = predictor.predictSweep(regionFor(inv.pid), points);
         if (!out_path.empty())
             writeSweepResult(out_path, cpis);
-        printSweepTable(it->second, code, values, cpis);
+        printSweepTable(opt.param, inv.code, values, cpis);
         return 0;
     }
 
@@ -1400,27 +1189,26 @@ runSweep(int pid, const char *code, int argc, char **argv)
                      "merge target)\n");
         return usage();
     }
-    if (model_path.empty()) {
+    if (opt.model.empty()) {
         // Train-or-load the shared model cache before forking: fresh
         // workers would otherwise race to train it.
         (void)artifacts::fullModel();
     }
-    const size_t n = std::min<size_t>(
-        static_cast<size_t>(opt["workers"]), points.size());
-    const std::string exe = selfExePath(argv[0]);
+    const size_t n = std::min(workers, points.size());
+    const std::string exe = selfExePath(inv.argv0);
     std::vector<std::vector<std::string>> argvs(n);
     for (size_t w = 0; w < n; ++w) {
-        argvs[w] = {exe, "sweep-worker", code, argv[3],
+        argvs[w] = {exe, "sweep-worker", inv.code, inv.args[0],
                     "part=" + std::to_string(w),
                     "nparts=" + std::to_string(n),
                     "out=" + sweepPartPath(out_path, w)};
-        if (!model_path.empty())
-            argvs[w].push_back("model=" + model_path);
-        for (const auto &override_arg : override_args)
+        if (!opt.model.empty())
+            argvs[w].push_back("model=" + opt.model);
+        for (const auto &override_arg : inv.overrides)
             argvs[w].push_back(override_arg);
     }
     ProcessPool pool;
-    if (!pool.superviseAll(argvs, static_cast<size_t>(opt["respawns"]))) {
+    if (!pool.superviseAll(argvs, respawns)) {
         std::fprintf(stderr, "sweep: a partition never completed\n");
         return 1;
     }
@@ -1457,7 +1245,7 @@ runSweep(int pid, const char *code, int argc, char **argv)
     writeSweepResult(out_path, cpis);
     for (size_t w = 0; w < n; ++w)
         ::unlink(sweepPartPath(out_path, w).c_str());
-    printSweepTable(it->second, code, values, cpis);
+    printSweepTable(opt.param, inv.code, values, cpis);
     return 0;
 }
 
@@ -1467,50 +1255,36 @@ runSweep(int pid, const char *code, int argc, char **argv)
  * as an (index, CPI) part file for the supervisor to merge.
  */
 int
-runSweepWorker(int pid, const char *code, int argc, char **argv)
+runSweepWorker(Invocation &inv)
 {
-    (void)code;
-    if (argc < 4)
-        return usage();
-    const auto it = kShortNames.find(argv[3]);
-    if (it == kShortNames.end()) {
-        std::fprintf(stderr, "unknown parameter '%s'\n", argv[3]);
-        return 2;
-    }
-    UarchParams params = UarchParams::armN1();
-    std::map<std::string, int64_t> opt = {{"part", -1}, {"nparts", 0}};
-    std::string out_path, model_path;
-    std::vector<std::string> override_args;
-    if (!parseSweepArgs(argc, argv, opt, params, out_path, model_path,
-                        override_args))
-        return usage();
-    if (out_path.empty() || opt["part"] < 0 || opt["nparts"] < 1
-        || opt["part"] >= opt["nparts"]) {
-        std::fprintf(stderr, "sweep-worker requires out=<file>, part=, "
-                     "and nparts= with part < nparts\n");
+    SweepArgs opt;
+    size_t part = 0, nparts = 1;
+    std::string out_path;
+    if (const int rc = opt.parse(inv, {
+            cli::integer("part", part).require(),
+            cli::integer("nparts", nparts).atLeast(1).require(),
+            cli::text("out", out_path, "<file>").require(),
+        }))
+        return rc;
+    if (part >= nparts) {
+        std::fprintf(stderr, "sweep-worker needs part < nparts\n");
         return usage();
     }
-    if (!model_path.empty() && !fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
-        return 1;
-    }
-    const size_t part = static_cast<size_t>(opt["part"]);
-    const size_t nparts = static_cast<size_t>(opt["nparts"]);
 
-    const auto values = sweepValues(it->second, true);
+    const auto values = sweepValues(opt.param, true);
     std::vector<uint64_t> indices;
     std::vector<UarchParams> points;
+    UarchParams params = inv.params;
     for (size_t i = part; i < values.size(); i += nparts) {
-        params.set(it->second, values[i]);
+        params.set(opt.param, values[i]);
         indices.push_back(i);
         points.push_back(params);
     }
 
     // One thread: the supervisor already runs one process per part.
-    const ConcordePredictor predictor = sweepPredictor(model_path);
+    const ConcordePredictor predictor = loadPredictor(opt.model);
     const auto cpis =
-        predictor.predictSweep(regionFor(pid), points, /*threads=*/1);
+        predictor.predictSweep(regionFor(inv.pid), points, /*threads=*/1);
 
     const std::string tmp = uniqueTmpName(out_path);
     {
@@ -1529,6 +1303,35 @@ runSweepWorker(int pid, const char *code, int argc, char **argv)
     return 0;
 }
 
+/** Every subcommand, in usage order. */
+const Command kCommands[] = {
+    {"predict", " <program>", true, runPredict},
+    {"sweep", " <program> <param>", true, runSweep},
+    {"attribute", " <program> [permutations]", true, runAttribute},
+    {"simulate", " <program>", true, runSimulate},
+    {"serve", " <program> [--model <artifact>]", true, runServe},
+    {"pipeline", " <program>", true, runPipeline},
+    {"dataset", "", false, runDataset},
+    {"dataset-worker", "", false, runDatasetWorker},
+    {"sweep-worker", " <program> <param>", true, runSweepWorker},
+    {"train", "", false, runTrain},
+    {"eval", "", false, runEval},
+    {"list", "", false, runList},
+};
+
+int
+usage()
+{
+    std::fprintf(stderr, "usage: concorde_cli <command> [args]\n");
+    for (const Command &command : kCommands) {
+        Invocation inv(command, true);
+        command.run(inv);
+    }
+    std::fprintf(stderr, "run with 'list' for programs and parameter "
+                 "names\n");
+    return 2;
+}
+
 } // anonymous namespace
 
 int
@@ -1536,137 +1339,27 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    const std::string command = argv[1];
-
-    if (command == "list") {
-        if (argc > 2) {
-            std::fprintf(stderr, "'list' takes no arguments\n");
+    const auto command = std::find_if(
+        std::begin(kCommands), std::end(kCommands),
+        [&](const Command &c) { return std::strcmp(c.name, argv[1]) == 0; });
+    if (command == std::end(kCommands)) {
+        std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+        return usage();
+    }
+    Invocation inv(*command);
+    inv.argv0 = argv[0];
+    int first = 2;
+    if (command->program) {
+        if (argc < 3)
             return usage();
-        }
-        std::printf("programs:\n");
-        for (const auto &info : workloadCorpus()) {
-            std::printf("  %-5s %s (%s)\n", info.code().c_str(),
-                        info.profile.name.c_str(),
-                        info.profile.group.c_str());
-        }
-        std::printf("\nparameters (short=long, ARM N1 default):\n");
-        const UarchParams n1 = UarchParams::armN1();
-        for (const auto &[name, id] : kShortNames) {
-            std::printf("  %-8s %-38s %lld\n", name.c_str(),
-                        paramTable()[static_cast<int>(id)].name,
-                        static_cast<long long>(n1.get(id)));
-        }
-        return 0;
-    }
-
-    // Lifecycle subcommands take key=value args, not a <program>.
-    if (command == "dataset")
-        return runDataset(argc, argv);
-    if (command == "dataset-worker")
-        return runDatasetWorker(argc, argv);
-    if (command == "train")
-        return runTrain(argc, argv);
-    if (command == "eval")
-        return runEval(argc, argv);
-
-    if (command != "predict" && command != "sweep" && command != "attribute"
-        && command != "simulate" && command != "serve"
-        && command != "pipeline" && command != "sweep-worker") {
-        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-        return usage();
-    }
-
-    if (argc < 3)
-        return usage();
-    const int pid = programIdByCode(argv[2]);
-    if (pid < 0) {
-        std::fprintf(stderr, "unknown program '%s'\n", argv[2]);
-        return 2;
-    }
-
-    if (command == "serve")
-        return runServe(pid, argv[2], argc, argv);
-    if (command == "pipeline")
-        return runPipeline(pid, argv[2], argc, argv);
-    if (command == "sweep")
-        return runSweep(pid, argv[2], argc, argv);
-    if (command == "sweep-worker")
-        return runSweepWorker(pid, argv[2], argc, argv);
-
-    UarchParams params = UarchParams::armN1();
-    int first_override = 3;
-    int permutations = 48;
-    if (command == "attribute" && argc > 3) {
-        // Optional positional permutation count before the overrides.
-        int64_t parsed = 0;
-        if (parseInt(argv[3], parsed)) {
-            if (parsed < 1 || parsed > 1000000) {
-                std::fprintf(stderr,
-                             "permutations must be in [1, 1000000]\n");
-                return 2;
-            }
-            permutations = static_cast<int>(parsed);
-            first_override = 4;
-        }
-    }
-    for (int i = first_override; i < argc; ++i) {
-        if (!applyOverride(params, argv[i]))
+        inv.pid = programIdByCode(argv[2]);
+        if (inv.pid < 0) {
+            std::fprintf(stderr, "unknown program '%s'\n", argv[2]);
             return 2;
-    }
-
-    if (command == "simulate") {
-        RegionAnalysis analysis(regionFor(pid));
-        const SimResult result = simulateRegion(params, analysis);
-        std::printf("cycle-level simulation of %s @ %s\n", argv[2],
-                    params.toString().c_str());
-        std::printf("  CPI %.4f (%llu cycles, %llu instructions, "
-                    "%llu mispredicts)\n", result.cpi(),
-                    static_cast<unsigned long long>(result.cycles),
-                    static_cast<unsigned long long>(result.instructions),
-                    static_cast<unsigned long long>(
-                        result.branchMispredicts));
-        return 0;
-    }
-
-    ConcordePredictor predictor(artifacts::fullModel(),
-                                artifacts::featureConfig());
-    // All three prediction subcommands share the region analysis through
-    // the process-wide AnalysisStore, the same cache the serve layer and
-    // dataset generation use.
-    FeatureProvider provider(
-        AnalysisStore::global().acquire(regionFor(pid)),
-        artifacts::featureConfig());
-
-    if (command == "predict") {
-        const double cpi = predictor.predictCpi(provider, params);
-        std::printf("%s @ %s\n  predicted CPI %.4f\n", argv[2],
-                    params.toString().c_str(), cpi);
-        return 0;
-    }
-
-    // command == "attribute"
-    // Every permutation scan point is evaluated through one batched
-    // inference pass instead of thousands of scalar predictions, against
-    // the store-shared region analysis.
-    const BatchEval eval = [&](const std::vector<UarchParams> &pts) {
-        return predictor.predictCpiBatch(provider, pts);
-    };
-    const UarchParams base = UarchParams::bigCore();
-    ShapleyConfig config;
-    config.numPermutations = permutations;
-    const auto &components = attributionComponents();
-    const auto phi =
-        shapleyAttribution(base, params, components, eval, config);
-    const auto endpoints = predictor.predictCpiBatch(
-        provider, std::vector<UarchParams>{base, params});
-    std::printf("CPI attribution for %s (target vs big core):\n", argv[2]);
-    std::printf("  big core %.3f -> target %.3f\n", endpoints[0],
-                endpoints[1]);
-    for (size_t c = 0; c < components.size(); ++c) {
-        if (std::abs(phi[c]) >= 0.005) {
-            std::printf("  %-30s %+8.3f\n", components[c].name.c_str(),
-                        phi[c]);
         }
+        inv.code = argv[2];
+        first = 3;
     }
-    return 0;
+    inv.args.assign(argv + first, argv + argc);
+    return command->run(inv);
 }

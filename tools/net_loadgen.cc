@@ -1,15 +1,17 @@
 /**
  * @file
  * net_loadgen: multi-client load generator for the serve wire protocol.
- * Point it at a listening server (`concorde_cli serve <pid> listen=PORT`
- * or any NetServer); each client thread opens its own connection and
- * drives pipelined bursts of randomized design points over a region
- * set, split between the interactive and bulk request classes. Reports
- * throughput, end-to-end latency percentiles, and per-status counts.
+ * Point it at a listening server (`concorde_cli serve <program>
+ * listen=PORT` or any NetServer) with `net_loadgen port=PORT [key=value
+ * ...]`; run it with no arguments for every flag and its default. Each
+ * client thread opens its own connection and drives pipelined bursts of
+ * randomized design points over a region set, split between the
+ * interactive and bulk request classes. Reports throughput, end-to-end
+ * latency percentiles, and per-status counts.
  *
  * Burst latency semantics: a burst goes out as one write, and each
  * request's latency is measured from burst send to its response frame.
- * --burst 1 therefore measures true single-request round trips;
+ * burst=1 therefore measures true single-request round trips;
  * larger bursts measure the pipelined serving rate.
  */
 
@@ -17,13 +19,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/stopwatch.hh"
@@ -40,7 +41,7 @@ namespace
 struct Options
 {
     std::string host = "127.0.0.1";
-    int port = 0;
+    uint16_t port = 0;
     std::string model = "default";
     size_t clients = 4;
     size_t requests = 2000;     ///< per client
@@ -54,59 +55,24 @@ struct Options
     uint32_t timeoutUs = 0;
 };
 
-int
-usage()
+std::vector<cli::Flag>
+flagsOf(Options &opt)
 {
-    std::fprintf(
-        stderr,
-        "usage: net_loadgen --port P [--host H] [--model NAME]\n"
-        "                   [--clients N] [--requests N] [--burst B]\n"
-        "                   [--program PID] [--trace T] [--regions R]\n"
-        "                   [--start CHUNK] [--chunks C]\n"
-        "                   [--bulk-pct PCT] [--timeout-us US]\n");
-    return 2;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string key = argv[i];
-        if (i + 1 >= argc)
-            return false;
-        const char *value = argv[++i];
-        if (key == "--host") {
-            opt.host = value;
-        } else if (key == "--model") {
-            opt.model = value;
-        } else if (key == "--port") {
-            opt.port = std::atoi(value);
-        } else if (key == "--clients") {
-            opt.clients = std::strtoull(value, nullptr, 10);
-        } else if (key == "--requests") {
-            opt.requests = std::strtoull(value, nullptr, 10);
-        } else if (key == "--burst") {
-            opt.burst = std::strtoull(value, nullptr, 10);
-        } else if (key == "--program") {
-            opt.program = std::atoi(value);
-        } else if (key == "--trace") {
-            opt.trace = std::atoi(value);
-        } else if (key == "--regions") {
-            opt.regions = std::strtoull(value, nullptr, 10);
-        } else if (key == "--start") {
-            opt.start = std::strtoull(value, nullptr, 10);
-        } else if (key == "--chunks") {
-            opt.chunks = static_cast<uint32_t>(std::atoi(value));
-        } else if (key == "--bulk-pct") {
-            opt.bulkPct = std::atoi(value);
-        } else if (key == "--timeout-us") {
-            opt.timeoutUs = static_cast<uint32_t>(std::atoi(value));
-        } else {
-            return false;
-        }
-    }
-    return opt.port > 0 && opt.clients > 0 && opt.requests > 0 &&
-           opt.burst > 0 && opt.regions > 0;
+    return {
+        cli::integer("port", opt.port).atLeast(1).require(),
+        cli::text("host", opt.host, "<host>"),
+        cli::text("model", opt.model, "<name>"),
+        cli::integer("clients", opt.clients).atLeast(1),
+        cli::integer("requests", opt.requests).atLeast(1),
+        cli::integer("burst", opt.burst).atLeast(1),
+        cli::integer("program", opt.program).atLeast(0),
+        cli::integer("trace", opt.trace).atLeast(0),
+        cli::integer("regions", opt.regions).atLeast(1),
+        cli::integer("start", opt.start),
+        cli::integer("chunks", opt.chunks).atLeast(1),
+        cli::integer("bulk_pct", opt.bulkPct).atLeast(0).atMost(100),
+        cli::integer("timeout_us", opt.timeoutUs),
+    };
 }
 
 struct ClientResult
@@ -123,7 +89,7 @@ runClient(const Options &opt, size_t index,
           const std::vector<RegionSpec> &regions, ClientResult &result)
 {
     try {
-        NetClient client(opt.host, static_cast<uint16_t>(opt.port));
+        NetClient client(opt.host, opt.port);
         Rng rng(9000 + index);
         UarchParams point = UarchParams::armN1();
         result.latencyUs.reserve(opt.requests);
@@ -181,8 +147,13 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return usage();
+    if (!cli::parse(flagsOf(opt),
+                    std::vector<std::string>(argv + 1, argv + argc))) {
+        Options defaults;
+        std::fprintf(stderr, "usage:\n");
+        cli::printUsage(stderr, "net_loadgen", flagsOf(defaults), false);
+        return 2;
+    }
 
     std::vector<RegionSpec> regions;
     for (size_t r = 0; r < opt.regions; ++r) {
@@ -195,7 +166,7 @@ main(int argc, char **argv)
     }
 
     std::printf("net_loadgen: %zu clients x %zu requests (burst %zu, "
-                "%d%% bulk) -> %s:%d\n",
+                "%d%% bulk) -> %s:%u\n",
                 opt.clients, opt.requests, opt.burst, opt.bulkPct,
                 opt.host.c_str(), opt.port);
 
