@@ -29,8 +29,9 @@ size_t defaultThreads();
 
 /**
  * Run fn(i) for i in [0, n) across up to num_threads threads.
- * Work is distributed in contiguous blocks; fn must be thread-safe across
- * distinct i. Runs inline when n is small or num_threads <= 1.
+ * Items are handed out one at a time from a shared atomic counter, so
+ * uneven item costs balance; fn must be thread-safe across distinct i.
+ * Runs inline when n == 1 or num_threads <= 1.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &fn,
                  size_t num_threads = 0);

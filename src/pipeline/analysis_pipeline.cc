@@ -1,6 +1,8 @@
 #include "pipeline/analysis_pipeline.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/stopwatch.hh"
@@ -33,37 +35,54 @@ aggregateCpi(const std::vector<RegionSpec> &regions,
         ? cycles / static_cast<double>(instructions) : 0.0;
 }
 
+namespace
+{
+
+/**
+ * The feature workers for a config. Under Carry the calling thread
+ * stitches and then featurizes beside the pool, so it counts as one of
+ * `threads` and the pool gets the rest: none at threads = 1. (The
+ * count is resolved first: ThreadPool reads 0 as "hardware".)
+ */
+std::unique_ptr<ThreadPool>
+makePool(const PipelineConfig &cfg)
+{
+    if (cfg.mode != ExecMode::Sharded)
+        return nullptr;
+    if (cfg.state == StateMode::Independent)
+        return std::make_unique<ThreadPool>(cfg.threads);
+    const size_t threads = cfg.threads ? cfg.threads : defaultThreads();
+    return threads > 1 ? std::make_unique<ThreadPool>(threads - 1)
+                       : nullptr;
+}
+
+} // anonymous namespace
+
 AnalysisPipeline::AnalysisPipeline(const ConcordePredictor &predictor,
                                    PipelineConfig config)
-    : pred(predictor), cfg(config)
+    : pred(predictor), cfg(config), pool(makePool(cfg))
 {
-    if (cfg.mode == ExecMode::Sharded)
-        pool = std::make_unique<ThreadPool>(cfg.threads);
 }
 
 AnalysisPipeline::AnalysisPipeline(const ModelArtifact &artifact,
                                    PipelineConfig config)
     : owned(std::make_shared<const ConcordePredictor>(artifact.predictor())),
-      pred(*owned), cfg(config)
+      pred(*owned), cfg(config), pool(makePool(cfg))
 {
-    if (cfg.mode == ExecMode::Sharded)
-        pool = std::make_unique<ThreadPool>(cfg.threads);
 }
 
-std::vector<std::unique_ptr<FeatureProvider>>
-AnalysisPipeline::buildProviders(const TraceSpan &span,
-                                 const std::vector<RegionSpec> &regions,
-                                 const UarchParams &params,
-                                 double &analyze_seconds)
+void
+AnalysisPipeline::stitch(
+    const TraceSpan &span, const std::vector<RegionSpec> &regions,
+    const UarchParams &params,
+    std::vector<std::unique_ptr<FeatureProvider>> &providers,
+    const std::function<void(size_t)> &ready)
 {
     // The sequential stitch pass: one carried hierarchy/predictor state
     // walks the span in trace order, so every instruction is analyzed
     // exactly once and the per-shard results concatenate to one unsplit
-    // pass. The expensive featurization then fans out per shard.
-    Stopwatch timer;
-    std::vector<std::unique_ptr<FeatureProvider>> providers(regions.size());
+    // pass.
     const ProgramModel &model = programModel(span.programId);
-
     AnalyzerCarryState carry(
         params.memory, params.branch,
         branchSeedFor(span.programId, span.traceId, span.startChunk));
@@ -94,9 +113,9 @@ AnalysisPipeline::buildProviders(const TraceSpan &span,
         analysis.adoptBranches(params.branch, std::move(shard.branches));
         providers[i] = std::make_unique<FeatureProvider>(
             std::move(analysis), pred.featureConfig());
+        if (ready)
+            ready(i);
     }
-    analyze_seconds = timer.seconds();
-    return providers;
 }
 
 PipelineResult
@@ -112,22 +131,20 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         return res;
     }
 
+    // Featurize every shard into one row-major matrix. A carried
+    // provider is dropped as soon as its row is out: it is
+    // span-specific, never cached, and nothing reads it again.
+    // Independent-state providers are built inside the task, so their
+    // trace analysis (and warmup replay) fans out with the
+    // featurization.
     std::vector<std::unique_ptr<FeatureProvider>> providers(n);
-    if (cfg.state == StateMode::Carry) {
-        providers = buildProviders(span, res.regions, params,
-                                   res.analyzeSeconds);
-    }
-
-    // Featurize every shard into one row-major matrix. Independent-state
-    // providers are built inside the task, so their trace analysis (and
-    // warmup replay) fans out with the featurization.
-    Stopwatch feature_timer;
     std::vector<float> rows(n * res.featureDim, 0.0f);
     auto featurize = [&](size_t i) {
-        if (!providers[i]) {
+        std::unique_ptr<FeatureProvider> provider = std::move(providers[i]);
+        if (!provider) {
             // Independent-state analyses are the store's convention;
             // share them when a store is configured.
-            providers[i] = cfg.analysisStore
+            provider = cfg.analysisStore
                 ? std::make_unique<FeatureProvider>(
                       cfg.analysisStore->acquire(res.regions[i],
                                                  cfg.warmupChunks),
@@ -138,7 +155,7 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         }
         std::vector<float> row;
         row.reserve(res.featureDim);
-        providers[i]->assemble(params, row);
+        provider->assemble(params, row);
         panic_if(row.size() != res.featureDim,
                  "assembled %zu features, layout dim %zu", row.size(),
                  res.featureDim);
@@ -147,6 +164,12 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
     };
 
     if (cfg.mode == ExecMode::Scalar) {
+        if (cfg.state == StateMode::Carry) {
+            Stopwatch analyze_timer;
+            stitch(span, res.regions, params, providers, {});
+            res.analyzeSeconds = analyze_timer.seconds();
+        }
+        Stopwatch feature_timer;
         for (size_t i = 0; i < n; ++i)
             featurize(i);
         res.featureSeconds = feature_timer.seconds();
@@ -163,12 +186,40 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
     } else {
         std::vector<std::future<void>> futures;
         futures.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            futures.push_back(pool->submit([&featurize, i] {
-                featurize(i);
-            }));
-        for (auto &future : futures)
-            future.get();
+        Stopwatch feature_timer;
+        if (cfg.state == StateMode::Independent) {
+            for (size_t i = 0; i < n; ++i)
+                futures.push_back(pool->submit([&featurize, i] {
+                    featurize(i);
+                }));
+            for (auto &future : futures)
+                future.get();
+        } else {
+            // Overlap the stitch pass with featurization: region i goes
+            // to the pool as soon as its provider exists, while this
+            // thread stitches region i + 1. After the stitch this thread
+            // featurizes whatever no worker has claimed, newest first
+            // (its trace is the one still in this core's cache). Each
+            // region is claimed exactly once.
+            std::vector<std::atomic<bool>> claimed(n);
+            auto claim = [&](size_t i) {
+                if (!claimed[i].exchange(true))
+                    featurize(i);
+            };
+            Stopwatch analyze_timer;
+            stitch(span, res.regions, params, providers, [&](size_t i) {
+                if (pool)
+                    futures.push_back(pool->submit([&claim, i] {
+                        claim(i);
+                    }));
+            });
+            res.analyzeSeconds = analyze_timer.seconds();
+            feature_timer.reset();
+            for (size_t i = n; i-- > 0;)
+                claim(i);
+            for (auto &future : futures)
+                future.get();
+        }
         res.featureSeconds = feature_timer.seconds();
 
         Stopwatch infer_timer;

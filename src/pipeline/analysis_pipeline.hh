@@ -26,7 +26,8 @@
  *                       reproduces one unsplit pass over the span; each
  *                       instruction is analyzed exactly once, instead
  *                       of once per region plus once per overlapping
- *                       warmup replay.
+ *                       warmup replay. Sharded, the pool featurizes
+ *                       region i while the caller stitches region i+1.
  *
  * For a fixed StateMode, Scalar and Sharded produce bitwise-identical
  * per-region CPIs (gated by bench_pipeline_e2e and the golden corpus).
@@ -36,6 +37,7 @@
 #define CONCORDE_PIPELINE_ANALYSIS_PIPELINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,7 +63,12 @@ struct PipelineConfig
     uint32_t warmupChunks = kDefaultWarmupChunks;
     ExecMode mode = ExecMode::Sharded;
     StateMode state = StateMode::Independent;
-    size_t threads = 0;             ///< feature workers (0 = hardware)
+    /**
+     * Sharded threads (0 = hardware). Independent: pool workers, the
+     * caller waits. Carry: the caller counts as one -- it stitches and
+     * then featurizes beside threads - 1 pool workers.
+     */
+    size_t threads = 0;
     size_t mlpThreads = 1;          ///< threads of the batched MLP pass
     bool keepFeatures = false;      ///< retain the feature matrix
 
@@ -89,8 +96,13 @@ struct PipelineResult
     std::vector<float> features;
     size_t featureDim = 0;
 
-    double analyzeSeconds = 0.0;    ///< sequential stitch pass (Carry)
-    double featureSeconds = 0.0;    ///< per-shard featurization
+    /**
+     * Wall-clock phase times; they never sum past totalSeconds.
+     * Sharded+Carry overlaps featurization with the stitch, so there
+     * featureSeconds is only the featurization tail after it.
+     */
+    double analyzeSeconds = 0.0;    ///< the stitch pass (Carry; else 0)
+    double featureSeconds = 0.0;    ///< featurization after the stitch
     double inferSeconds = 0.0;      ///< MLP pass
     double totalSeconds = 0.0;
 };
@@ -124,18 +136,23 @@ class AnalysisPipeline
     PipelineResult run(const TraceSpan &span, const UarchParams &params);
 
   private:
-    /** Shard-local providers for the span, per the configured StateMode. */
-    std::vector<std::unique_ptr<FeatureProvider>>
-    buildProviders(const TraceSpan &span,
-                   const std::vector<RegionSpec> &regions,
-                   const UarchParams &params, double &analyze_seconds);
+    /**
+     * The Carry stitch pass on the calling thread: fills providers[i]
+     * in region order and calls ready(i) (when set) as soon as region
+     * i's provider exists.
+     */
+    void stitch(const TraceSpan &span,
+                const std::vector<RegionSpec> &regions,
+                const UarchParams &params,
+                std::vector<std::unique_ptr<FeatureProvider>> &providers,
+                const std::function<void(size_t)> &ready);
 
     /** Set by the artifact ctor; declared before `pred` so the reference
      *  can bind to it during construction. */
     std::shared_ptr<const ConcordePredictor> owned;
     const ConcordePredictor &pred;
     const PipelineConfig cfg;
-    std::unique_ptr<ThreadPool> pool;   ///< Sharded mode only
+    std::unique_ptr<ThreadPool> pool;   ///< Sharded mode only; see threads
 };
 
 } // namespace pipeline

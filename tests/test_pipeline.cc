@@ -304,33 +304,56 @@ runPipeline(const ConcordePredictor &predictor, const TraceSpan &span,
 
 TEST(PipelineModes, ShardedMatchesScalarBitwise)
 {
+    // Every thread count, on spans of one region, of fewer regions than
+    // threads, and of more. Sharded+Carry featurizes region i on the
+    // pool while the caller stitches region i + 1, and the caller
+    // counts as one of `threads` (1: no pool thread; 0: hardware).
     const ConcordePredictor predictor = tinyPredictor(7);
-    const TraceSpan span = testSpan(4);
     const UarchParams params = UarchParams::armN1();
-
     for (StateMode state : {StateMode::Independent, StateMode::Carry}) {
-        const PipelineResult scalar = runPipeline(
-            predictor, span, params, ExecMode::Scalar, state, 1, true);
-        const PipelineResult sharded = runPipeline(
-            predictor, span, params, ExecMode::Sharded, state, 3, true);
-        ASSERT_EQ(scalar.regionCpi.size(), 4u);
-        expectResultsIdentical(scalar, sharded);
-        // The assembled feature matrices agree bitwise too.
-        EXPECT_EQ(scalar.features, sharded.features);
+        for (uint64_t chunks : {uint64_t(1), uint64_t(2), uint64_t(4)}) {
+            const TraceSpan span = testSpan(chunks);
+            const PipelineResult scalar = runPipeline(
+                predictor, span, params, ExecMode::Scalar, state, 1, true);
+            ASSERT_EQ(scalar.regionCpi.size(), chunks);
+            for (size_t threads : {0, 1, 2, 3, 8}) {
+                SCOPED_TRACE(testing::Message()
+                             << (state == StateMode::Carry ? "carry, "
+                                                           : "independent, ")
+                             << chunks << " regions, " << threads
+                             << " threads");
+                const PipelineResult sharded = runPipeline(
+                    predictor, span, params, ExecMode::Sharded, state,
+                    threads, true);
+                expectResultsIdentical(scalar, sharded);
+                // The assembled feature matrices agree bitwise too.
+                EXPECT_EQ(scalar.features, sharded.features);
+            }
+        }
     }
 }
 
-TEST(PipelineModes, ThreadCountInvariance)
+TEST(PipelineModes, PhaseTimesAddUpWithinTotal)
 {
-    const ConcordePredictor predictor = tinyPredictor(8);
+    // The per-phase times never sum past the whole run, in any mode;
+    // only Carry has a stitch pass to time.
+    const ConcordePredictor predictor = tinyPredictor(13);
     const TraceSpan span = testSpan(3);
     const UarchParams params = UarchParams::armN1();
-    for (StateMode state : {StateMode::Independent, StateMode::Carry}) {
-        const PipelineResult one = runPipeline(
-            predictor, span, params, ExecMode::Sharded, state, 1);
-        const PipelineResult four = runPipeline(
-            predictor, span, params, ExecMode::Sharded, state, 4);
-        expectResultsIdentical(one, four);
+    for (ExecMode mode : {ExecMode::Scalar, ExecMode::Sharded}) {
+        for (StateMode state : {StateMode::Independent, StateMode::Carry}) {
+            for (size_t threads : {1, 2}) {
+                const PipelineResult res = runPipeline(
+                    predictor, span, params, mode, state, threads);
+                EXPECT_LE(res.analyzeSeconds + res.featureSeconds
+                              + res.inferSeconds,
+                          res.totalSeconds);
+                if (state == StateMode::Carry)
+                    EXPECT_GT(res.analyzeSeconds, 0.0);
+                else
+                    EXPECT_EQ(res.analyzeSeconds, 0.0);
+            }
+        }
     }
 }
 

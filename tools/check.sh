@@ -56,12 +56,15 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
     echo "== stage 2b: TSan concurrency suites =="
     # The suites that share one RegionAnalysis, queue, or socket server
-    # across threads (the combined-trace latch included).
+    # across threads (the combined-trace latch included), and the
+    # pipeline, whose carried providers cross from the stitch pass to
+    # the pool.
     cmake -B build-tsan -S . -DCONCORDE_SANITIZE=thread -DCONCORDE_WERROR=ON
     cmake --build build-tsan -j "$JOBS" --target test_analysis_store \
-        test_sim_labeler test_serve test_uncertainty test_net_serve
+        test_sim_labeler test_serve test_uncertainty test_net_serve \
+        test_pipeline
     TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
-        -R 'test_(analysis_store|sim_labeler|serve|uncertainty|net_serve)' \
+        -R 'test_(analysis_store|sim_labeler|serve|uncertainty|net_serve|pipeline)' \
         --output-on-failure -j "$JOBS"
 fi
 
