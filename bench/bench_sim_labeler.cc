@@ -12,6 +12,10 @@
  *   fast       simulateRegion over one reused SimScratch: allocation-free
  *              steady state, cached combined trace + per-branch-config
  *              mispredict flags on the RegionAnalysis
+ *   fast fresh simulateRegion with a fresh SimScratch per label (so a
+ *              freshly constructed TimingMemory each time): what a
+ *              buildDataset worker pays on the first label of every
+ *              call; reported, not gated
  *
  * Region analyses (branch runs, combined traces, flag layouts, the
  * reference's row copies) are prewarmed off the clock -- they are
@@ -19,6 +23,9 @@
  * point; only the simulation calls are timed. Timing is best-of-kReps
  * with a fresh SimScratch per attempt (scratch reuse happens across the
  * calls WITHIN an attempt, which is the labelRange shape).
+ *
+ * The corpus (tests/sim_label_corpus.hh) is also the one whose labels
+ * tests/golden/sim_labels.golden pins.
  *
  * Gates (exit 1 on failure; margins are 1-core-VM safe):
  *   - fast results bitwise-identical to the reference engine on every
@@ -41,64 +48,14 @@
 #include "sim/o3_core.hh"
 #include "trace/workloads.hh"
 
+#include "sim_label_corpus.hh"
+
 using namespace concorde;
 
 namespace
 {
 
 constexpr int kReps = 3;
-constexpr size_t kGoldenRegions = 4;
-constexpr size_t kRandomRegions = 4;
-constexpr size_t kDesignPoints = 12;
-constexpr uint32_t kRegionChunks = 2;
-constexpr uint64_t kStartChunk = 16;
-
-std::vector<RegionAnalysis>
-benchAnalyses()
-{
-    std::vector<RegionAnalysis> analyses;
-    analyses.reserve(kGoldenRegions + kRandomRegions);
-    for (size_t i = 0; i < kGoldenRegions; ++i) {
-        RegionSpec spec;
-        spec.programId = programIdByCode(i % 2 == 0 ? "S7" : "P1");
-        spec.traceId = 0;
-        spec.startChunk = kStartChunk + i * kRegionChunks;
-        spec.numChunks = kRegionChunks;
-        analyses.emplace_back(spec, 1);
-    }
-    Rng rng(2025);
-    for (size_t i = 0; i < kRandomRegions; ++i)
-        analyses.emplace_back(sampleRegion(rng, kRegionChunks), 1);
-    return analyses;
-}
-
-std::vector<UarchParams>
-designPoints()
-{
-    std::vector<UarchParams> points;
-    points.push_back(UarchParams::armN1());
-    points.push_back(UarchParams::bigCore());
-    Rng rng(4242);
-    while (points.size() < kDesignPoints)
-        points.push_back(UarchParams::sampleRandom(rng));
-    // Pin both prefetcher settings into the corpus.
-    points[0].memory.prefetchDegree = 4;
-    points[1].memory.prefetchDegree = 0;
-    return points;
-}
-
-bool
-identical(const SimResult &a, const SimResult &b)
-{
-    return a.cycles == b.cycles && a.instructions == b.instructions
-        && a.avgRobOccupancy == b.avgRobOccupancy
-        && a.avgRenameQOccupancy == b.avgRenameQOccupancy
-        && a.avgLqOccupancy == b.avgLqOccupancy
-        && a.branchMispredicts == b.branchMispredicts
-        && a.actualLoadLatencySum == b.actualLoadLatencySum
-        && a.loadCount == b.loadCount
-        && a.windowCommitCycles == b.windowCommitCycles;
-}
 
 /** Row copies of one region's traces, the reference engine's input. */
 struct RegionRows
@@ -124,8 +81,8 @@ main()
     std::printf("=== ground-truth labeling: scratch-reusing fast path vs "
                 "fresh-engine reference ===\n");
 
-    std::vector<RegionAnalysis> analyses = benchAnalyses();
-    const std::vector<UarchParams> points = designPoints();
+    std::vector<RegionAnalysis> analyses = simcorpus::analyses();
+    const std::vector<UarchParams> points = simcorpus::designPoints();
 
     // Prewarm every per-region memo both variants read (branch runs,
     // combined trace, flag layouts): computed once per region in
@@ -159,7 +116,7 @@ main()
                 const SimResult ref = referenceLabel(p, analysis, rows[r]);
                 const SimResult fast =
                     simulateRegion(p, analysis, 0, &scratch);
-                if (!identical(ref, fast))
+                if (!simcorpus::identical(ref, fast))
                     ++mismatches;
             }
         }
@@ -167,6 +124,7 @@ main()
 
     double ref_s = 1e30;
     double fast_s = 1e30;
+    double fresh_s = 1e30;
     for (int rep = 0; rep < kReps; ++rep) {
         Stopwatch ref_timer;
         for (size_t r = 0; r < analyses.size(); ++r)
@@ -180,10 +138,19 @@ main()
             for (const UarchParams &p : points)
                 (void)simulateRegion(p, analysis, 0, &scratch);
         fast_s = std::min(fast_s, fast_timer.seconds());
+
+        // A fresh scratch, so a freshly constructed TimingMemory, per
+        // label: what a buildDataset worker pays once per call.
+        Stopwatch fresh_timer;
+        for (RegionAnalysis &analysis : analyses)
+            for (const UarchParams &p : points)
+                (void)simulateRegion(p, analysis, 0, nullptr);
+        fresh_s = std::min(fresh_s, fresh_timer.seconds());
     }
 
     const double ref_rate = minstr / ref_s;
     const double fast_rate = minstr / fast_s;
+    const double fresh_rate = minstr / fresh_s;
     const double speedup = ref_s / fast_s;
     std::printf("  corpus: %zu regions x %zu design points = %zu labels "
                 "(%.2f Minstr simulated/pass)\n", analyses.size(),
@@ -192,6 +159,8 @@ main()
                 ref_rate, ref_s);
     std::printf("  fast scratch-reusing:    %8.2f Minstr/s  (%.2fx, "
                 "%.4fs)\n", fast_rate, speedup, fast_s);
+    std::printf("  fast, fresh scratch:     %8.2f Minstr/s  (%.4fs)\n",
+                fresh_rate, fresh_s);
     std::printf("  result mismatches:       %zu / %zu\n", mismatches,
                 labels);
 
@@ -216,6 +185,7 @@ main()
                    static_cast<unsigned long long>(sim_instrs));
         json.field("reference_minstr_s", "%.3f", ref_rate);
         json.field("fast_minstr_s", "%.3f", fast_rate);
+        json.field("fast_fresh_minstr_s", "%.3f", fresh_rate);
         json.field("fast_speedup", "%.3f", speedup);
         json.field("result_mismatches", "%zu", mismatches);
         json.flag("gate_pass", pass);

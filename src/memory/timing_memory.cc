@@ -15,6 +15,73 @@ constexpr uint32_t kLlcWays = 16;
 
 } // anonymous namespace
 
+static_assert((InflightFills::kInitialSlots
+               & (InflightFills::kInitialSlots - 1)) == 0,
+              "the slot count must be a power of two");
+
+InflightFills::InflightFills()
+    : table(kInitialSlots, Slot{kEmpty, 0}),
+      shift(64 - static_cast<uint32_t>(__builtin_ctzll(kInitialSlots)))
+{
+}
+
+size_t
+InflightFills::probe(uint64_t line) const
+{
+    const size_t mask = table.size() - 1;
+    size_t i = home(line);
+    while (table[i].line != line && table[i].line != kEmpty)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const uint64_t *
+InflightFills::find(uint64_t line) const
+{
+    const Slot &slot = table[probe(line)];
+    return slot.line == line ? &slot.done : nullptr;
+}
+
+void
+InflightFills::set(uint64_t line, uint64_t done)
+{
+    size_t i = probe(line);
+    if (table[i].line == line) {
+        table[i].done = done;
+        return;
+    }
+    if (2 * (used.size() + 1) > table.size()) {
+        grow();
+        i = probe(line);
+    }
+    table[i] = {line, done};
+    used.push_back(static_cast<uint32_t>(i));
+}
+
+void
+InflightFills::clear()
+{
+    for (uint32_t i : used)
+        table[i].line = kEmpty;
+    used.clear();
+}
+
+void
+InflightFills::grow()
+{
+    std::vector<Slot> old(2 * table.size(), Slot{kEmpty, 0});
+    old.swap(table);
+    --shift;
+    used.clear();
+    for (const Slot &slot : old) {
+        if (slot.line != kEmpty) {
+            const size_t i = probe(slot.line);
+            table[i] = slot;
+            used.push_back(static_cast<uint32_t>(i));
+        }
+    }
+}
+
 TimingMemory::TimingMemory(const MemoryConfig &config)
     : l1d(config.l1dKb * 1024ULL, kL1Ways),
       l1i(config.l1iKb * 1024ULL, kL1Ways),
@@ -146,9 +213,9 @@ TimingMemory::load(uint64_t pc, uint64_t addr, uint64_t cycle)
 
     // Merge with an in-flight fill for the same line (principle 1 of
     // Algorithm 1, realized in the ground-truth simulator).
-    auto it = inflightData.find(line);
-    if (it != inflightData.end() && it->second > cycle) {
-        resp.readyCycle = it->second;
+    const uint64_t *inflight = inflightData.find(line);
+    if (inflight && *inflight > cycle) {
+        resp.readyCycle = *inflight;
         resp.level = CacheLevel::L1;    // will be an L1 hit once filled
         resp.isFill = false;
         // Keep replacement state warm.
@@ -177,11 +244,7 @@ TimingMemory::load(uint64_t pc, uint64_t addr, uint64_t cycle)
         else
             done = start + loadLatency(level);
         mshrRetire(done);
-        // `it` is still valid: nothing was inserted since the find above.
-        if (it != inflightData.end())
-            it->second = done;
-        else
-            inflightData.emplace(line, done);
+        inflightData.set(line, done);
         resp.readyCycle = done;
         resp.isFill = true;
     }
@@ -193,8 +256,8 @@ TimingMemory::load(uint64_t pc, uint64_t addr, uint64_t cycle)
             const uint64_t pf_line = pf_addr >> 6;
             if (l1d.lookup(pf_line))
                 continue;
-            auto in = inflightData.find(pf_line);
-            if (in != inflightData.end() && in->second > cycle)
+            const uint64_t *in = inflightData.find(pf_line);
+            if (in && *in > cycle)
                 continue;
             ++dStats.prefetchesIssued;
             const bool pf_seq = (pf_line == lastDataLine + 1);
@@ -206,10 +269,7 @@ TimingMemory::load(uint64_t pc, uint64_t addr, uint64_t cycle)
                 done = dramService(cycle);
             else
                 done = cycle + loadLatency(pf_level);
-            if (in != inflightData.end())
-                in->second = done;
-            else
-                inflightData.emplace(pf_line, done);
+            inflightData.set(pf_line, done);
         }
     }
     return resp;
@@ -239,17 +299,17 @@ TimingMemory::instLineNeedsFill(uint64_t line, uint64_t cycle) const
 {
     if (l1i.lookup(line))
         return false;
-    auto it = inflightInst.find(line);
-    return !(it != inflightInst.end() && it->second > cycle);
+    const uint64_t *inflight = inflightInst.find(line);
+    return !(inflight && *inflight > cycle);
 }
 
 MemResponse
 TimingMemory::fetchLine(uint64_t line, uint64_t cycle)
 {
     MemResponse resp;
-    auto it = inflightInst.find(line);
-    if (it != inflightInst.end() && it->second > cycle) {
-        resp.readyCycle = it->second;
+    const uint64_t *inflight = inflightInst.find(line);
+    if (inflight && *inflight > cycle) {
+        resp.readyCycle = *inflight;
         resp.level = CacheLevel::L1;
         resp.isFill = false;
         l1i.touch(line);
@@ -275,10 +335,7 @@ TimingMemory::fetchLine(uint64_t line, uint64_t cycle)
             done = dramService(cycle);
         else
             done = cycle + loadLatency(level);
-        if (it != inflightInst.end())
-            it->second = done;
-        else
-            inflightInst.emplace(line, done);
+        inflightInst.set(line, done);
         resp.readyCycle = done;
         resp.isFill = true;
     }

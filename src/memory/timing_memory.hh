@@ -14,7 +14,6 @@
 #define CONCORDE_MEMORY_TIMING_MEMORY_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "memory/cache.hh"
@@ -33,6 +32,61 @@ struct MemResponse
 };
 
 /**
+ * In-flight fills of one side: line -> completion cycle, open-addressed
+ * with linear probing over a power-of-two slot array (load factor at
+ * most 1/2, doubling when exceeded). Entries are never erased within a
+ * run -- a fill whose completion has passed simply no longer merges --
+ * and clear() empties only the slots that were used, keeping the
+ * storage.
+ */
+class InflightFills
+{
+  public:
+    static constexpr size_t kInitialSlots = 1024;
+
+    InflightFills();
+
+    /** Completion cycle recorded for `line`, or null. */
+    const uint64_t *find(uint64_t line) const;
+
+    /** Record (insert or overwrite) the completion cycle of `line`. */
+    void set(uint64_t line, uint64_t done);
+
+    /** Forget every entry; O(entries), capacity kept. */
+    void clear();
+
+    size_t size() const { return used.size(); }
+    size_t slots() const { return table.size(); }
+
+  private:
+    static constexpr uint64_t kEmpty = ~0ULL;
+
+    struct Slot
+    {
+        uint64_t line;
+        uint64_t done;
+    };
+
+    size_t
+    home(uint64_t line) const
+    {
+        // Fibonacci hashing: the multiply mixes the line's low bits into
+        // the high bits the shift keeps.
+        return static_cast<size_t>((line * 0x9E3779B97F4A7C15ULL)
+                                   >> shift);
+    }
+
+    /** Slot holding `line`, or the empty slot where it would go. */
+    size_t probe(uint64_t line) const;
+
+    void grow();
+
+    std::vector<Slot> table;
+    std::vector<uint32_t> used;     ///< occupied slot indices
+    uint32_t shift;                 ///< 64 - log2(table.size())
+};
+
+/**
  * Cycle-addressable memory model. Requests must arrive in non-decreasing
  * cycle order (the out-of-order core issues them in simulation-time order).
  */
@@ -44,8 +98,11 @@ class TimingMemory
     /**
      * Reinitialize to the exact state of a freshly constructed
      * TimingMemory(config), reusing all existing allocations (cache tag
-     * arrays, hash-map buckets, heap storage). The simulator scratch path
-     * resets one instance per run instead of reconstructing it.
+     * arrays, in-flight tables, heap storage) in time independent of
+     * their size: caches clear their sets lazily and the in-flight
+     * tables clear only the slots the last run used. The simulator
+     * scratch path resets one instance per run instead of
+     * reconstructing it.
      */
     void reset(const MemoryConfig &config);
 
@@ -105,9 +162,9 @@ class TimingMemory
     uint64_t lastInstLine = ~0ULL;
     uint64_t dramNextFree = 0;
 
-    /** In-flight fills (demand or prefetch): line -> completion cycle. */
-    std::unordered_map<uint64_t, uint64_t> inflightData;
-    std::unordered_map<uint64_t, uint64_t> inflightInst;
+    /** In-flight fills (demand or prefetch) of each side. */
+    InflightFills inflightData;
+    InflightFills inflightInst;
 
     /**
      * Outstanding data-miss completions: a min-heap over a plain vector

@@ -130,11 +130,66 @@ class MinHeap
     std::vector<T> v;
 };
 
+/**
+ * Set of instruction indices ordered by index: one bit per instruction.
+ * top() is the lowest member -- the element a min-heap over the same
+ * indices would pop -- found from a hint word that only moves back when
+ * a lower index is pushed. Ready instructions sit in the ROB window, so
+ * the scan from the hint stays within a few words. Each index is pushed
+ * at most once while a member (an instruction becomes ready once, and a
+ * deferred one is popped before it is pushed back).
+ */
+class ReadySet
+{
+  public:
+    /** Empty set over indices [0, n). */
+    void
+    reset(size_t n)
+    {
+        words.assign((n + 63) / 64, 0);
+        low = 0;
+        count = 0;
+    }
+
+    bool empty() const { return count == 0; }
+
+    uint32_t
+    top()
+    {
+        while (words[low] == 0)
+            ++low;
+        return static_cast<uint32_t>(low * 64
+                                     + __builtin_ctzll(words[low]));
+    }
+
+    void
+    push(uint32_t i)
+    {
+        words[i / 64] |= 1ULL << (i % 64);
+        low = std::min(low, static_cast<size_t>(i / 64));
+        ++count;
+    }
+
+    /** Remove top(). */
+    void
+    pop()
+    {
+        (void)top();
+        words[low] &= words[low] - 1;
+        --count;
+    }
+
+  private:
+    std::vector<uint64_t> words;
+    size_t low = 0;     ///< no member lies below this word
+    size_t count = 0;
+};
+
 } // namespace simdetail
 
 /**
  * The fast engine's entire working set: per-instruction arrays, wakeup
- * edges, frontend geometry, rings, heaps, staging buffers for the
+ * edges, frontend geometry, rings, heaps, ready sets, staging buffers for the
  * rebased trace, and the timing memory itself (reset in place between
  * runs). Every container is resized/assigned at run start and reused,
  * so a warm scratch makes a simulation allocation-free.
@@ -168,9 +223,9 @@ struct SimScratch::Impl
     simdetail::RingBuf<std::pair<uint64_t, uint32_t>> renameQ;
     simdetail::RingBuf<uint32_t> rob;
     simdetail::MinHeap<uint64_t> fillHeap;
-    simdetail::MinHeap<uint32_t> readyAlu;
-    simdetail::MinHeap<uint32_t> readyFp;
-    simdetail::MinHeap<uint32_t> readyLs;
+    simdetail::ReadySet readyAlu;
+    simdetail::ReadySet readyFp;
+    simdetail::ReadySet readyLs;
     std::vector<uint32_t> deferred;
     simdetail::MinHeap<std::pair<uint64_t, uint32_t>> events;
 
@@ -746,8 +801,10 @@ struct Engine
  * so results are bitwise-identical), reading the trace as TraceColumns
  * instead of Instruction rows, with every container replaced by a
  * reused member of SimScratch::Impl -- rings instead of deques, reused
- * heap vectors instead of priority_queues, and an in-place TimingMemory
- * reset instead of reconstruction. The write-only issuedAt array of the
+ * heap vectors instead of the fill and event priority_queues, ordered
+ * bitmaps (ReadySet) instead of the ready priority_queues, which pop
+ * the same lowest index, and an in-place TimingMemory reset instead of
+ * reconstruction. The write-only issuedAt array of the
  * reference is dropped (unobservable).
  */
 struct FastEngine
@@ -794,10 +851,10 @@ struct FastEngine
     uint32_t lqOcc = 0;
     uint32_t sqOcc = 0;
 
-    // Age-ordered ready queues per issue class.
-    MinHeap<uint32_t> &readyAlu;
-    MinHeap<uint32_t> &readyFp;
-    MinHeap<uint32_t> &readyLs;
+    // Age-ordered ready sets per issue class.
+    ReadySet &readyAlu;
+    ReadySet &readyFp;
+    ReadySet &readyLs;
 
     std::vector<uint8_t> &dispatched;
     std::vector<uint64_t> &dispatchCycle;
@@ -862,9 +919,9 @@ struct FastEngine
         renameQ.reset(kRenameQCap);
         rob.reset(static_cast<size_t>(p.robSize));
         fillHeap.clear();
-        readyAlu.clear();
-        readyFp.clear();
-        readyLs.clear();
+        readyAlu.reset(n);
+        readyFp.reset(n);
+        readyLs.reset(n);
         deferred.clear();
         events.clear();
         if (warmupCount == 0) {
@@ -1034,7 +1091,7 @@ struct FastEngine
     issueStage()
     {
         bool any = false;
-        auto drain = [&](MinHeap<uint32_t> &q, int width) {
+        auto drain = [&](ReadySet &q, int width) {
             int issued = 0;
             while (issued < width && !q.empty()) {
                 const uint32_t i = q.top();

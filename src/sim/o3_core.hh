@@ -23,9 +23,10 @@
  *  - the fast path (simulateTrace / simulateCombined / simulateRegion)
  *    reads the columnar TraceColumns layout, like every other production
  *    path: every per-call container lives in a caller-owned SimScratch,
- *    queues are fixed-cap ring buffers, heaps are reused vectors, and
- *    the timing memory is reset in place -- labeling N design points of
- *    one region allocates once, not N times;
+ *    queues are fixed-cap ring buffers, the fill and event heaps are
+ *    reused vectors, the ready queues are bitmaps over instruction
+ *    indices, and the timing memory is reset in place -- labeling N
+ *    design points of one region allocates once, not N times;
  *  - the reference path (simulateTraceReference): the original
  *    fresh-containers-per-call engine over Instruction rows, kept
  *    verbatim as the bitwise A/B oracle (tests/test_sim_labeler,
@@ -80,12 +81,15 @@ struct SimResult
 /**
  * Reusable simulator working set (the RobModelScratch idiom): all of the
  * engine's per-run state -- per-instruction arrays, wakeup edge chains,
- * fetch/decode/rename ring buffers, ready and event heaps, and the
- * TimingMemory itself -- owned by the caller and threaded through
+ * fetch/decode/rename ring buffers, ready bitmaps, fill and event heaps,
+ * and the TimingMemory itself -- owned by the caller and threaded through
  * simulateTrace / simulateRegion. One instance reused across runs keeps
- * the hot labeling loop free of per-sample allocation once warm; a fresh
- * instance per call reproduces the old behavior exactly (results are
- * bitwise-identical either way).
+ * the hot labeling loop free of per-sample allocation once warm, and its
+ * TimingMemory reset costs time independent of the cache sizes. A fresh
+ * instance per call costs one TimingMemory construction, whose tag
+ * arrays are allocated without being written (pages of sets the run
+ * never fills are never faulted in). Results are bitwise-identical
+ * either way.
  *
  * Not thread-safe: one scratch per thread. Safe to reuse across regions
  * and design points in any interleaving.

@@ -9,6 +9,11 @@
  * tolerance (to absorb libm round-off across toolchains); the other
  * executors are compared against the scalar one bitwise.
  *
+ * The simulator labels of the sim-label corpus (sim_label_corpus.hh)
+ * are pinned the same way in tests/golden/sim_labels.golden, exactly:
+ * the simulator's statistics are integer counts and IEEE quotients of
+ * them, with no libm in between.
+ *
  * Regenerate with CONCORDE_REGEN_GOLDEN=1 (tests/golden/README.md);
  * CI never regenerates.
  */
@@ -18,6 +23,7 @@
 #include <cmath>
 
 #include "golden_harness.hh"
+#include "sim_label_corpus.hh"
 
 using namespace concorde;
 using golden::GoldenCase;
@@ -155,5 +161,49 @@ TEST(GoldenCorpus, ServedRegionsBitwiseIdenticalToScalar)
                 << "region " << i;
         EXPECT_EQ(served.programCpi, reference.programCpi);
         EXPECT_EQ(served.instructions, reference.instructions);
+    }
+}
+
+TEST(GoldenSimLabels, SimulateRegionMatchesCommittedLabels)
+{
+    std::vector<RegionAnalysis> analyses = simcorpus::analyses();
+    const std::vector<UarchParams> points = simcorpus::designPoints();
+    const std::string file = golden::directory() + "/sim_labels.golden";
+
+    // One scratch reused across every label (the labelRange shape: the
+    // timing memory is reset in place between design points), and a
+    // fresh one per label.
+    SimScratch scratch;
+    std::vector<SimResult> reused;
+    std::vector<SimResult> fresh;
+    for (RegionAnalysis &analysis : analyses) {
+        for (const UarchParams &p : points) {
+            reused.push_back(simulateRegion(
+                p, analysis, simcorpus::kGoldenWindow, &scratch));
+            fresh.push_back(
+                simulateRegion(p, analysis, simcorpus::kGoldenWindow));
+        }
+    }
+
+    if (golden::regenRequested()) {
+        ASSERT_TRUE(simcorpus::write(file, reused)) << file;
+        std::printf("regenerated %s\n", file.c_str());
+        return;
+    }
+
+    std::vector<SimResult> expected;
+    ASSERT_TRUE(simcorpus::read(file, expected))
+        << "missing or malformed " << file
+        << " -- regenerate with CONCORDE_REGEN_GOLDEN=1 "
+        << "(tests/golden/README.md)";
+    ASSERT_EQ(expected.size(), reused.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE("region " + std::to_string(i / points.size())
+                     + ", design point "
+                     + std::to_string(i % points.size()));
+        EXPECT_EQ(simcorpus::format(reused[i]),
+                  simcorpus::format(expected[i]));
+        EXPECT_TRUE(simcorpus::identical(reused[i], expected[i]));
+        EXPECT_TRUE(simcorpus::identical(fresh[i], expected[i]));
     }
 }

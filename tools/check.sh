@@ -3,8 +3,8 @@
 # without GitHub Actions.
 #
 #   stage 1  configure (warnings fatal) + build everything (including the
-#            bench/e2e driver, build only) + README CLI block == usage
-#            text + full ctest
+#            bench/e2e benchmark) + a 1 s bitwise-check run of each e2e
+#            workload + README CLI block == usage text + full ctest
 #   stage 2  ASan+UBSan build + full ctest, then a TSan build of the
 #            concurrency suites                   (SKIP_SANITIZE=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
@@ -21,10 +21,16 @@ echo "== stage 1: build (${BUILD_TYPE}, -Werror) + tests =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE="$BUILD_TYPE" -DCONCORDE_WERROR=ON
 cmake --build build -j "$JOBS"
 cmake --build build --target bench -j "$JOBS"
-# Build-only: the end-to-end benchmark driver is its own CMake project
-# over src/; a library change that breaks it fails here, not later.
+# The end-to-end benchmark program is its own CMake project over src/;
+# a library change that breaks it fails here, not later.
 cmake -S bench/e2e -B build-e2e
 cmake --build build-e2e -j "$JOBS"
+# One-second run of every workload: exercises e2e_bench's off-the-clock
+# bitwise checks (e2e_bench exits nonzero on any failed op or check).
+# No timing gate.
+for w in dse_sweep attribution program_cpi labeling serve_mixed; do
+    ./build-e2e/e2e_bench --workload "$w" --seconds 1
+done
 # The README's CLI block must be concorde_cli's own usage text, which
 # the CLI prints to stderr (exit 2) when run without arguments.
 status=0
