@@ -25,7 +25,9 @@
  * Modes: default uses the full model from artifacts/ (trains on first
  * run); --smoke or CONCORDE_SMOKE=1 uses an untrained model of the
  * production layout (no artifacts, seconds). Writes a JSON summary to
- * $CONCORDE_BENCH_JSON (default BENCH_sweep.json).
+ * $CONCORDE_BENCH_JSON (default BENCH_sweep.json), including the
+ * ROB-model kernel this host runs multi-size calls with as rob_kernel
+ * ("avx512f" or "portable"; see analytical/rob_model.hh).
  */
 
 #include <algorithm>
@@ -35,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "analytical/rob_model.hh"
 #include "bench_util.hh"
 #include "common/stopwatch.hh"
 #include "core/concorde.hh"
@@ -142,6 +145,7 @@ main(int argc, char **argv)
                 "(%.1fx)\n", sweep_1t_rate, speedup_1t);
 
     const AnalysisStoreStats store = AnalysisStore::global().stats();
+    std::printf("  ROB-model kernel: %s\n", robKernelName());
     std::printf("  analysis store: %llu built, %llu hits\n",
                 static_cast<unsigned long long>(store.built),
                 static_cast<unsigned long long>(store.hits));
@@ -178,6 +182,7 @@ main(int argc, char **argv)
         json.field("sweep_pred_s", "%.1f", sweep_rate);
         json.field("sweep_1t_pred_s", "%.1f", sweep_1t_rate);
         json.field("speedup", "%.3f", speedup);
+        json.text("rob_kernel", robKernelName());
         json.field("store_built", "%llu",
                    static_cast<unsigned long long>(store.built));
         json.field("store_hits", "%llu",

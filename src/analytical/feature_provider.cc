@@ -1,8 +1,6 @@
 #include "analytical/feature_provider.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "analytical/frontend_models.hh"
 #include "analytical/lsq_model.hh"
@@ -138,51 +136,67 @@ FeatureProvider::counts()
     return windowCounts;
 }
 
+bool
+FeatureProvider::hasRobEntry(int rob_size, uint32_t mem_key,
+                             bool need_latencies) const
+{
+    auto it = robCache.find(packKey(rob_size, mem_key));
+    return it != robCache.end()
+        && (!need_latencies || it->second.hasLatencies);
+}
+
+RobRunRequest
+FeatureProvider::robRequest(int rob_size, bool need_latencies) const
+{
+    // assemble() reads the exec encoding only for one size; no other
+    // size counts exec latencies.
+    return RobRunRequest{rob_size, need_latencies,
+                         need_latencies && rob_size == execLatencyRobSize()};
+}
+
+void
+FeatureProvider::runRobEntries(const MemoryConfig &mem,
+                               const std::vector<RobRunRequest> &requests)
+{
+    if (requests.empty())
+        return;
+    // Runs and histograms live for this call only: serving keeps one
+    // provider per (model, region) alive, so nothing here is per provider.
+    std::vector<RobModelResult> runs;
+    std::vector<RobStageLatencies> latencies;
+    const auto &dside = region->dside(mem);
+    runRobModels(region->regionColumns(), region->loadIndex(), dside.execLat,
+                 requests, cfg.windowK, runs, latencies);
+    const uint32_t mem_key = mem.dSideKey();
+    for (size_t k = 0; k < requests.size(); ++k) {
+        ++totalModelRuns;
+        RobModelResult &run = runs[k];
+        RobEntry &entry = robCache[packKey(requests[k].robSize, mem_key)];
+        entry.windows = std::move(run.windowThroughput);
+        entry.overallIpc = run.overallIpc;
+        if (requests[k].latencies) {
+            RobStageLatencies &lat = latencies[k];
+            entry.encIssue.clear();
+            entry.encCommit.clear();
+            encoder.encodeHistogramLog1p(lat.issue, entry.encIssue);
+            encoder.encodeHistogramLog1p(lat.commit, entry.encCommit);
+            if (requests[k].execLatency) {
+                entry.encExec.clear();
+                encoder.encodeHistogramLog1p(lat.exec, entry.encExec);
+            }
+            entry.hasLatencies = true;
+        }
+    }
+}
+
 FeatureProvider::RobEntry &
 FeatureProvider::robEntry(int rob_size, const MemoryConfig &mem,
                           bool need_latencies)
 {
-    const uint64_t key = packKey(rob_size, mem.dSideKey());
-    auto it = robCache.find(key);
-    if (it != robCache.end()
-        && (!need_latencies || it->second.hasLatencies)) {
-        return it->second;
-    }
-
-    const auto &dside = region->dside(mem);
-    RobModelResult run =
-        runRobModel(region->regionColumns(), region->loadIndex(),
-                    dside.execLat, rob_size, cfg.windowK, need_latencies,
-                    &modelScratch);
-    ++totalModelRuns;
-
-    RobEntry &entry = robCache[key];
-    entry.windows = std::move(run.windowThroughput);
-    entry.overallIpc = run.overallIpc;
-    if (need_latencies) {
-        encodeLog1p(run.issueLat, entry.encIssue);
-        encodeLog1p(run.commitLat, entry.encCommit);
-        // assemble() reads the exec encoding only for one size; every
-        // other size's exec latencies die with `run`.
-        if (rob_size == execLatencyRobSize())
-            encodeLog1p(run.execLat, entry.encExec);
-        entry.hasLatencies = true;
-    }
-    return entry;
-}
-
-void
-FeatureProvider::encodeLog1p(std::vector<double> &samples,
-                             std::vector<float> &out) const
-{
-    // Sorting before the monotone log1p transform yields the same
-    // sequence as sorting after it, and lets the integral raw latencies
-    // take the counting fast path, which writes the transformed sorted
-    // vector in one rebuild pass (log1p once per distinct value).
-    sortAndTransformSamples(samples,
-                            [](double x) { return std::log1p(x); });
-    out.clear();
-    encoder.encodeSorted(samples, out);
+    const uint32_t mem_key = mem.dSideKey();
+    if (!hasRobEntry(rob_size, mem_key, need_latencies))
+        runRobEntries(mem, {robRequest(rob_size, need_latencies)});
+    return robCache.find(packKey(rob_size, mem_key))->second;
 }
 
 bool
@@ -224,20 +238,15 @@ FeatureProvider::ensureRobEntries(const UarchParams &params)
 
     // Distinct sizes this assemble will touch (a dozen or so; linear
     // dedup beats a set here).
-    struct Wanted
-    {
-        int robSize;
-        bool latencies;
-    };
-    std::vector<Wanted> wanted;
+    std::vector<RobRunRequest> wanted;
     auto add = [&](int size, bool lat) {
-        for (Wanted &w : wanted) {
+        for (RobRunRequest &w : wanted) {
             if (w.robSize == size) {
                 w.latencies |= lat;
                 return;
             }
         }
-        wanted.push_back(Wanted{size, lat});
+        wanted.push_back(RobRunRequest{size, lat, false});
     };
     add(params.robSize, needsLatencies(params.robSize));
     for (int size : cfg.robSweep)
@@ -246,18 +255,19 @@ FeatureProvider::ensureRobEntries(const UarchParams &params)
         add(size, true);
     add(execLatencyRobSize(), true);
 
-    // One size at a time over the shared modelScratch, each run's
-    // latencies encoded before the next run starts, so at most one run's
-    // three latency vectors are live (384 KB at 16k instructions; a cold
-    // N1 assemble collects them for six sizes). Interleaving the per-size recurrences in
-    // a single trace pass was tried and measured SLOWER than back-to-back
-    // single-size runs (with separate and with transposed per-size
-    // finish arrays): the simple single-size loop optimizes better than
-    // a variable-width group loop, and the region's working set already
-    // sits in cache across runs, so the win here is scratch reuse and
-    // running every ROB size before the encodes of the other blocks.
-    for (const Wanted &w : wanted)
-        robEntry(w.robSize, mem, w.latencies);
+    // Every missing size in one call. Interleaving the sizes in one
+    // scalar pass once measured slower than back-to-back single-size
+    // runs; as AVX-512F lanes it wins: on a Xeon, the 12 sizes of a cold
+    // assemble over a 16k-instruction region (six counting stage
+    // latencies) take 0.55-0.95 ms in one lockstep pass against
+    // 2.3-3.6 ms one size at a time (bench_sweep_dse records the kernel
+    // as rob_kernel).
+    std::vector<RobRunRequest> missing;
+    for (const RobRunRequest &w : wanted) {
+        if (!hasRobEntry(w.robSize, mem.dSideKey(), w.latencies))
+            missing.push_back(robRequest(w.robSize, w.latencies));
+    }
+    runRobEntries(mem, missing);
 }
 
 const std::vector<double> &
@@ -528,13 +538,15 @@ FeatureProvider::precomputeAll(bool quantized)
     const auto d_configs = allDataConfigs();
     const auto i_configs = allInstConfigs();
 
+    std::vector<RobRunRequest> missing;
     for (const auto &mem : d_configs) {
-        for (int64_t rob : sweepValues(ParamId::RobSize, quantized)) {
-            const bool need_lat = std::find(
-                cfg.latencyRobSizes.begin(), cfg.latencyRobSizes.end(),
-                static_cast<int>(rob)) != cfg.latencyRobSizes.end();
-            robEntry(static_cast<int>(rob), mem, need_lat);
+        missing.clear();
+        for (int64_t value : sweepValues(ParamId::RobSize, quantized)) {
+            const int rob = static_cast<int>(value);
+            if (!hasRobEntry(rob, mem.dSideKey(), needsLatencies(rob)))
+                missing.push_back(robRequest(rob, needsLatencies(rob)));
         }
+        runRobEntries(mem, missing);
         for (int64_t lq : sweepValues(ParamId::LqSize, quantized))
             lqWindows(static_cast<int>(lq), mem);
     }

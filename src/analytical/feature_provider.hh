@@ -188,8 +188,8 @@ class FeatureProvider
      * One memoized ROB-model run. Stage latencies are kept only in
      * encoded form: issue and commit for every latency size, and
      * execution only for execLatencyRobSize(), the one size whose exec
-     * encoding assemble() reads. The other sizes' raw exec latencies are
-     * dropped with the run.
+     * encoding assemble() reads. The other sizes never count exec
+     * latencies.
      */
     struct RobEntry
     {
@@ -222,8 +222,24 @@ class FeatureProvider
 
     using BoundCache = std::unordered_map<uint64_t, BoundEntry>;
 
+    /** The memoized run of one size, running it if missing. */
     RobEntry &robEntry(int rob_size, const MemoryConfig &mem,
                        bool need_latencies);
+
+    /** Is this size's entry memoized, with latencies if needed? */
+    bool hasRobEntry(int rob_size, uint32_t mem_key,
+                     bool need_latencies) const;
+
+    /** The run request of one size (exec latencies for one size only). */
+    RobRunRequest robRequest(int rob_size, bool need_latencies) const;
+
+    /**
+     * Run every request in one runRobModels() call, memoize each size's
+     * windows and encode its latencies. Counts one model run per
+     * request.
+     */
+    void runRobEntries(const MemoryConfig &mem,
+                       const std::vector<RobRunRequest> &requests);
 
     /** Does this ROB size contribute stage-latency feature blocks? */
     bool needsLatencies(int rob_size) const;
@@ -234,9 +250,8 @@ class FeatureProvider
     /**
      * Fill every ROB size one assemble() touches (the target size, the
      * sweep sizes, and the latency sizes) whose entry is still missing,
-     * one robEntry run at a time on the shared modelScratch, each run's
-     * latencies encoded before the next starts. Warm assembles find
-     * every entry memoized and run nothing.
+     * all in one runRobModels() call. Warm assembles find every entry
+     * memoized and run nothing.
      */
     void ensureRobEntries(const UarchParams &params);
 
@@ -262,9 +277,6 @@ class FeatureProvider
                        std::vector<float> &out);
     /** Memoized encoding of a cached bound. */
     const std::vector<float> &encoded(BoundEntry &entry);
-    /** log1p-transform, sort, and encode one stage-latency vector. */
-    void encodeLog1p(std::vector<double> &samples,
-                     std::vector<float> &out) const;
     /** Memoized per-width issue bound (ALU / FP / LS). */
     BoundEntry &widthEntry(BoundCache &cache, const std::vector<uint32_t>
                            &class_counts, int width);
@@ -299,8 +311,6 @@ class FeatureProvider
 
     size_t totalModelRuns = 0;
     std::vector<double> scratch;
-    /** Reused ROB-model working buffers (commit ring, finish cycles). */
-    RobModelScratch modelScratch;
     /** Reused copy buffer for encoding memoized (const) window vectors. */
     std::vector<double> encodeScratch;
 };

@@ -12,6 +12,14 @@
  *
  * ISBs additionally wait for all earlier instructions to finish and act as
  * a dependency barrier for later ones.
+ *
+ * runRobModels() runs several ROB sizes of one memory config. On a CPU
+ * with AVX-512F it runs up to 16 sizes in one pass over the trace, one
+ * 32-bit lane per size (rob_kernels.hh): every recurrence above is an
+ * integer max or add, so each lane is bitwise equal to a single-size
+ * run. Elsewhere, for a lone size, and for a region whose cycles could
+ * exceed 32 bits, it runs the sizes one after another. Stage latencies
+ * are counted into integer histograms, never stored per instruction.
  */
 
 #ifndef CONCORDE_ANALYTICAL_ROB_MODEL_HH
@@ -21,6 +29,7 @@
 #include <vector>
 
 #include "analysis/memory_state_machine.hh"
+#include "common/stats.hh"
 #include "trace/trace_columns.hh"
 
 namespace concorde
@@ -33,42 +42,53 @@ struct RobModelResult
     std::vector<double> windowThroughput;
     /** Whole-region throughput: n / c_n (the Section 3.2.2 sweep value). */
     double overallIpc = 0.0;
-
-    /** Per-instruction stage latencies (when collect_latencies). */
-    std::vector<double> issueLat;   ///< s_i - a_i
-    std::vector<double> execLat;    ///< f_i - s_i
-    std::vector<double> commitLat;  ///< c_i - f_i
 };
 
-/**
- * Reusable per-run working buffers (commit ring, finish cycles, window
- * boundaries). One instance threaded through many runs over the same
- * region keeps the model free of per-run allocation once warm.
- */
-struct RobModelScratch
+/** Per-instruction stage latencies of one run, counted by value. */
+struct RobStageLatencies
 {
-    std::vector<uint64_t> commitRing;
-    std::vector<uint64_t> finish;
-    std::vector<uint64_t> boundaries;
+    IntegerHistogram issue;     ///< s_i - a_i
+    IntegerHistogram exec;      ///< f_i - s_i
+    IntegerHistogram commit;    ///< c_i - f_i
+};
+
+/** One ROB size of a runRobModels() call. */
+struct RobRunRequest
+{
+    int robSize = 1;            ///< ROB entries (>= 1)
+    bool latencies = false;     ///< count issue and commit latencies
+    bool execLatency = false;   ///< count exec latencies too
 };
 
 /**
- * Run the ROB model.
+ * Run the ROB model once per request over one region and d-side
+ * analysis; results[k] and latencies[k] answer requests[k], and only
+ * the latency kinds a request asked for are filled. Duplicate sizes
+ * are allowed. The working set (rings, per-line state) lives for the
+ * call only; keeping it across calls measured no faster.
  *
  * @param region instruction trace
  * @param index load/line index for the memory state machine
  * @param exec_lat per-instruction latency estimates (d-side analysis)
- * @param rob_size ROB entries (>= 1)
  * @param window_k window length for Eq. (5)
- * @param collect_latencies also fill the three latency vectors
- * @param scratch optional reusable working buffers
  */
+void runRobModels(const TraceColumns &region, const LoadLineIndex &index,
+                  const std::vector<int32_t> &exec_lat,
+                  const std::vector<RobRunRequest> &requests, int window_k,
+                  std::vector<RobModelResult> &results,
+                  std::vector<RobStageLatencies> &latencies);
+
+/** One ROB size, no latencies. */
 RobModelResult runRobModel(const TraceColumns &region,
                            const LoadLineIndex &index,
                            const std::vector<int32_t> &exec_lat,
-                           int rob_size, int window_k,
-                           bool collect_latencies,
-                           RobModelScratch *scratch = nullptr);
+                           int rob_size, int window_k);
+
+/**
+ * The kernel runRobModels() runs multi-size calls with on this host:
+ * "avx512f" (lockstep) or "portable" (one size at a time).
+ */
+const char *robKernelName();
 
 } // namespace concorde
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "common/logging.hh"
 
@@ -34,98 +33,35 @@ percentile(const std::vector<double> &sorted_xs, double q)
     return sorted_xs[lo] * (1.0 - frac) + sorted_xs[hi] * frac;
 }
 
-namespace
-{
-
-/**
- * Build the counting-sort histogram when every sample is a small
- * non-negative integer. @return false (histogram untouched) otherwise.
- */
-bool
-integralHistogram(const std::vector<double> &xs,
-                  std::vector<uint32_t> &counts, uint32_t &max_value)
-{
-    // Counting is only worth the two extra passes for decently sized
-    // inputs, and the histogram must stay cache-friendly.
-    constexpr size_t kMinCountingSize = 256;
-    constexpr uint32_t kMaxCountingValue = 1u << 16;
-
-    if (xs.size() < kMinCountingSize)
-        return false;
-    // Validate and count in ONE pass, growing the histogram on demand;
-    // a late validation failure just leaves scratch garbage behind.
-    counts.assign(256, 0);
-    max_value = 0;
-    for (double x : xs) {
-        // signbit rejects negatives and -0.0 (whose bit pattern a
-        // rebuild from the histogram would not preserve).
-        if (std::signbit(x) || x > kMaxCountingValue)
-            return false;
-        const uint32_t v = static_cast<uint32_t>(x);
-        if (static_cast<double>(v) != x)
-            return false;
-        if (v >= counts.size())
-            counts.resize(std::max<size_t>(v + 1, counts.size() * 2), 0);
-        ++counts[v];
-        max_value = std::max(max_value, v);
-    }
-    return true;
-}
-
-thread_local std::vector<uint32_t> histogramScratch;
-
-} // anonymous namespace
-
 void
 sortSamples(std::vector<double> &xs)
 {
-    uint32_t max_value = 0;
-    if (integralHistogram(xs, histogramScratch, max_value)) {
-        // Rebuilding count[v] copies of double(v) in ascending value
-        // order yields exactly std::sort's output: the same multiset,
-        // and equal values are bitwise-identical doubles.
-        size_t at = 0;
-        for (uint32_t v = 0; v <= max_value; ++v) {
-            const double value = static_cast<double>(v);
-            for (uint32_t c = histogramScratch[v]; c > 0; --c)
-                xs[at++] = value;
-        }
-        return;
-    }
     std::sort(xs.begin(), xs.end());
 }
 
 void
-sortAndTransformSamples(std::vector<double> &xs,
-                        double (*transform)(double))
+IntegerHistogram::clear()
 {
-    uint32_t max_value = 0;
-    if (integralHistogram(xs, histogramScratch, max_value)) {
-        // One rebuild pass writes the transformed values directly:
-        // identical to sorting first and then mapping each element, with
-        // the (weakly monotone) transform computed once per distinct
-        // value -- equal inputs give bitwise-equal outputs.
-        size_t at = 0;
-        for (uint32_t v = 0; v <= max_value; ++v) {
-            const uint32_t count = histogramScratch[v];
-            if (count == 0)
-                continue;
-            const double value = transform(static_cast<double>(v));
-            for (uint32_t c = count; c > 0; --c)
-                xs[at++] = value;
-        }
-        return;
-    }
-    std::sort(xs.begin(), xs.end());
-    double prev_in = std::numeric_limits<double>::quiet_NaN();
-    double prev_out = 0.0;
-    for (double &x : xs) {
-        if (x != prev_in) {
-            prev_in = x;
-            prev_out = transform(x);
-        }
-        x = prev_out;
-    }
+    dense.assign(kDenseCap, 0);
+    large.clear();
+}
+
+uint64_t
+IntegerHistogram::size() const
+{
+    uint64_t n = large.size();
+    for (uint32_t count : dense)
+        n += count;
+    return n;
+}
+
+uint64_t
+IntegerHistogram::count(uint64_t value) const
+{
+    if (value < kDenseCap)
+        return dense[value];
+    return static_cast<uint64_t>(
+        std::count(large.begin(), large.end(), value));
 }
 
 DistributionEncoder::DistributionEncoder(size_t num_percentiles)
@@ -194,6 +130,146 @@ DistributionEncoder::encodeSorted(const std::vector<double> &samples,
                 cum += samples[idx];
             }
             out[base + numPercentiles + i] = static_cast<float>(samples[idx]);
+        }
+    }
+
+    out[base + 2 * numPercentiles] =
+        static_cast<float>(total / static_cast<double>(n));
+}
+
+namespace
+{
+
+/** std::log1p(v) for every v below the dense cap, built once. */
+const std::vector<double> &
+log1pTable()
+{
+    static const std::vector<double> table = [] {
+        std::vector<double> t(IntegerHistogram::kDenseCap);
+        for (uint32_t v = 0; v < t.size(); ++v)
+            t[v] = std::log1p(static_cast<double>(v));
+        return t;
+    }();
+    return table;
+}
+
+/** One distinct sample value of a histogram, in ascending order. */
+struct ValueRun
+{
+    double value;       ///< log1p of the raw sample
+    uint64_t endRank;   ///< samples up to and including this value
+    double endSum;      ///< sorted-order running sum through this value
+};
+
+/**
+ * Sort non-negative integers ascending: LSD radix sort over 11-bit
+ * digits, as many passes as the largest value needs. A histogram's
+ * large samples are thousands of mostly distinct cycle counts, where
+ * std::sort's unpredictable compares cost several times more.
+ */
+void
+radixSort(std::vector<uint64_t> &xs)
+{
+    constexpr unsigned kDigitBits = 11;
+    constexpr size_t kBuckets = size_t{1} << kDigitBits;
+    if (xs.size() < kBuckets / 8) {
+        std::sort(xs.begin(), xs.end());
+        return;
+    }
+    const uint64_t max_value = *std::max_element(xs.begin(), xs.end());
+    std::vector<uint64_t> out(xs.size());
+    for (unsigned shift = 0; shift < 64 && (max_value >> shift) != 0;
+         shift += kDigitBits) {
+        uint32_t start[kBuckets] = {};
+        for (uint64_t x : xs)
+            ++start[(x >> shift) & (kBuckets - 1)];
+        uint32_t at = 0;
+        for (uint32_t &bucket : start) {
+            const uint32_t count = bucket;
+            bucket = at;
+            at += count;
+        }
+        for (uint64_t x : xs)
+            out[start[(x >> shift) & (kBuckets - 1)]++] = x;
+        xs.swap(out);
+    }
+}
+
+} // anonymous namespace
+
+void
+DistributionEncoder::encodeHistogramLog1p(IntegerHistogram &hist,
+                                          std::vector<float> &out) const
+{
+    const size_t base = out.size();
+    out.resize(base + dim(), 0.0f);
+    const uint64_t n = hist.size();
+    if (n == 0)
+        return;
+
+    // Distinct values ascending, each with the running sum at its last
+    // sample: adding a value `count` times in a row is exactly
+    // encodeSorted()'s per-element loop. log1p(0) is +0.0, and adding
+    // +0.0 to a non-negative sum leaves it unchanged, so the zero
+    // samples are skipped.
+    std::vector<ValueRun> runs;
+    double total = 0.0;
+    uint64_t rank = 0;
+    auto push = [&](double value, uint64_t count) {
+        rank += count;
+        if (value != 0.0) {
+            for (uint64_t c = 0; c < count; ++c)
+                total += value;
+        }
+        runs.push_back(ValueRun{value, rank, total});
+    };
+    const std::vector<double> &table = log1pTable();
+    for (uint32_t v = 0; v < IntegerHistogram::kDenseCap; ++v) {
+        if (hist.dense[v] != 0)
+            push(table[v], hist.dense[v]);
+    }
+    std::vector<uint64_t> &large = hist.large;
+    radixSort(large);
+    for (size_t k = 0; k < large.size();) {
+        size_t end = k + 1;
+        while (end < large.size() && large[end] == large[k])
+            ++end;
+        push(std::log1p(static_cast<double>(large[k])), end - k);
+        k = end;
+    }
+
+    // Plain percentiles, with encodeSorted()'s interpolation between
+    // the order statistics lo and hi, found by cumulative count.
+    size_t lo_run = 0, hi_run = 0;
+    auto valueAt = [&](uint64_t at, size_t &run) {
+        while (runs[run].endRank <= at)
+            ++run;
+        return runs[run].value;
+    };
+    for (size_t i = 0; i < numPercentiles; ++i) {
+        const double q = static_cast<double>(i)
+            / static_cast<double>(numPercentiles - 1);
+        const double pos = q * static_cast<double>(n - 1);
+        const uint64_t lo = static_cast<uint64_t>(pos);
+        const uint64_t hi = std::min(lo + 1, n - 1);
+        const double frac = pos - static_cast<double>(lo);
+        out[base + i] = static_cast<float>(valueAt(lo, lo_run) * (1.0 - frac)
+                                           + valueAt(hi, hi_run) * frac);
+    }
+
+    // Size-weighted percentiles: encodeSorted() stops at the first
+    // sample whose running sum reaches the target; that sample lies in
+    // the first distinct value whose closing sum does (or is the last).
+    if (total > 0.0) {
+        size_t at = 0;
+        for (size_t i = 0; i < numPercentiles; ++i) {
+            const double q = static_cast<double>(i)
+                / static_cast<double>(numPercentiles - 1);
+            const double target = q * total;
+            while (runs[at].endSum < target && at + 1 < runs.size())
+                ++at;
+            out[base + numPercentiles + i] =
+                static_cast<float>(runs[at].value);
         }
     }
 

@@ -26,24 +26,48 @@ double mean(const std::vector<double> &xs);
  */
 double percentile(const std::vector<double> &sorted_xs, double q);
 
-/**
- * Sort samples ascending, bitwise-identically to std::sort. Small
- * non-negative integral samples (stage latencies, instruction counts)
- * take a counting-sort fast path -- the hot encode paths sort thousands
- * of integral latencies per region, where counting beats comparison
- * sorting severalfold; everything else falls back to std::sort.
- */
+/** Sort samples ascending (std::sort). */
 void sortSamples(std::vector<double> &xs);
 
 /**
- * Sort ascending and map every sample through a weakly monotone
- * `transform`, computed once per distinct value. Bitwise-identical to
- * sortSamples() followed by an equal-input-deduplicated element-wise
- * transform, but the counting fast path writes the transformed values in
- * a single rebuild pass.
+ * A multiset of non-negative integer samples held as counts: one count
+ * per value below kDenseCap, and the samples at or above it as a list.
+ * The ROB model counts its per-instruction stage latencies into these
+ * instead of storing them per instruction.
+ *
+ * A default-constructed histogram owns no storage; clear() allocates
+ * the dense counts on first use and must precede the first add().
  */
-void sortAndTransformSamples(std::vector<double> &xs,
-                             double (*transform)(double));
+class IntegerHistogram
+{
+  public:
+    /** Values below this are counted densely (16 KB of counts). */
+    static constexpr uint32_t kDenseCap = 4096;
+
+    /** Drop every sample, allocating the dense counts if needed. */
+    void clear();
+
+    void
+    add(uint64_t value)
+    {
+        if (value < kDenseCap)
+            ++dense[value];
+        else
+            large.push_back(value);
+    }
+
+    /** Number of samples. */
+    uint64_t size() const;
+
+    /** Number of samples equal to `value`. */
+    uint64_t count(uint64_t value) const;
+
+  private:
+    friend class DistributionEncoder;
+
+    std::vector<uint32_t> dense;
+    std::vector<uint64_t> large;    ///< samples >= kDenseCap, unsorted
+};
 
 /**
  * Fixed-size encoding of an empirical distribution.
@@ -80,6 +104,18 @@ class DistributionEncoder
     /** Encode samples the caller has already sorted ascending. */
     void encodeSorted(const std::vector<double> &sorted,
                       std::vector<float> &out) const;
+
+    /**
+     * Encode the log1p of a histogram's samples, bitwise equal to
+     * encodeSorted() over the samples sorted ascending and mapped through
+     * std::log1p, without materializing them: percentiles are read from
+     * cumulative counts, and one in-order pass makes the same sequence
+     * of adds as encodeSorted()'s sum while recording the cumulative sum
+     * at each distinct value, where the weighted percentiles are read.
+     * Sorts the histogram's list of large samples in place.
+     */
+    void encodeHistogramLog1p(IntegerHistogram &hist,
+                              std::vector<float> &out) const;
 
   private:
     size_t numPercentiles;

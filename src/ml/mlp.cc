@@ -9,6 +9,7 @@
 #include <immintrin.h>
 #endif
 
+#include "common/cpu.hh"
 #include "common/logging.hh"
 #include "ml/mlp_gemm.hh"
 
@@ -470,16 +471,6 @@ gemm::layerAvx512(const float *X, const float *w, const float *b, float *Y,
     }
 }
 
-bool
-gemm::avx512Supported()
-{
-    static const bool supported = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx512f") != 0;
-    }();
-    return supported;
-}
-
 #else // no AVX-512 kernel on this platform
 
 void
@@ -487,12 +478,6 @@ gemm::layerAvx512(const float *, const float *, const float *, float *,
                   float *, size_t, size_t, size_t, bool)
 {
     panic("AVX-512 GEMM kernel called on a build without it");
-}
-
-bool
-gemm::avx512Supported()
-{
-    return false;
 }
 
 #endif
@@ -503,8 +488,8 @@ gemm::kernelFor(size_t n)
     // Below this many rows the scalar corner kernel wins: a lone row
     // would pay for fifteen padded lanes.
     constexpr size_t kAvx512MinRows = 2;
-    return avx512Supported() && n >= kAvx512MinRows ? layerAvx512
-                                                    : layerPortable;
+    return avx512fSupported() && n >= kAvx512MinRows ? layerAvx512
+                                                     : layerPortable;
 }
 
 void
@@ -563,7 +548,7 @@ Mlp::forwardBatch(const float *xs, size_t n, float *out,
 const char *
 Mlp::batchKernelName()
 {
-    return gemm::avx512Supported() ? "avx512f" : "portable";
+    return avx512fSupported() ? "avx512f" : "portable";
 }
 
 float

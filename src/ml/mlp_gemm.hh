@@ -41,14 +41,11 @@ using LayerKernel = void (*)(const float *X, const float *w, const float *b,
 void layerPortable(const float *X, const float *w, const float *b, float *Y,
                    float *xt, size_t n, size_t in, size_t od, bool relu);
 
-/** True when the CPU and OS support AVX-512F (probed once). */
-bool avx512Supported();
-
 /**
  * AVX-512F kernel: 16 rows per zmm lane vector, 8 output accumulators
  * held in registers across the pass over the inputs; a partial last
  * block is zero-padded and only its valid rows are stored. Call only
- * when avx512Supported().
+ * when avx512fSupported() (common/cpu.hh).
  */
 void layerAvx512(const float *X, const float *w, const float *b, float *Y,
                  float *xt, size_t n, size_t in, size_t od, bool relu);

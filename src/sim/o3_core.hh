@@ -79,11 +79,11 @@ struct SimResult
 };
 
 /**
- * Reusable simulator working set (the RobModelScratch idiom): all of the
- * engine's per-run state -- per-instruction arrays, wakeup edge chains,
- * fetch/decode/rename ring buffers, ready bitmaps, fill and event heaps,
- * and the TimingMemory itself -- owned by the caller and threaded through
- * simulateTrace / simulateRegion. One instance reused across runs keeps
+ * Reusable simulator working set: all of the engine's per-run state --
+ * per-instruction arrays, wakeup edge chains, fetch/decode/rename ring
+ * buffers, ready bitmaps, fill and event heaps, and the TimingMemory
+ * itself -- owned by the caller and threaded through simulateTrace /
+ * simulateRegion. One instance reused across runs keeps
  * the hot labeling loop free of per-sample allocation once warm, and its
  * TimingMemory reset costs time independent of the cache sizes. A fresh
  * instance per call costs one TimingMemory construction, whose tag

@@ -392,5 +392,45 @@ TEST(AnalysisStore, PredictSweepIsThreadCountInvariant)
     EXPECT_EQ(store.stats().built, 1u);
 }
 
+// Every d-side run of a sweep makes one multi-size ROB-model call, on
+// whichever worker takes the run, with a working set of its own. A grid
+// of several d-side configs, each with ROB sizes off the sweep (so every
+// call has a size of its own), must predict bitwise the same at every
+// worker count, for two regions of different lengths in either order.
+TEST(AnalysisStore, PredictSweepRobRunsMatchAcrossThreadCounts)
+{
+    AnalysisStore store;
+    const ConcordePredictor predictor(
+        artifacts::untrainedModel(FeatureConfig{}, 2032), FeatureConfig{});
+    const RegionSpec small = regionAt(8, 2, programIdByCode("C1"));
+    const RegionSpec large = regionAt(40, 3, programIdByCode("S5"));
+
+    std::vector<UarchParams> points;
+    for (int64_t l1d : {16, 64, 128}) {
+        for (int64_t l2 : {512, 2048}) {
+            for (int64_t rob : {1, 37, 300, 1000}) {
+                UarchParams point = UarchParams::armN1();
+                point.set(ParamId::L1dSize, l1d);
+                point.set(ParamId::L2Size, l2);
+                point.set(ParamId::RobSize, rob);
+                points.push_back(point);
+            }
+        }
+    }
+
+    const auto small1 = predictor.predictSweep(small, points, 1, &store);
+    const auto large1 = predictor.predictSweep(large, points, 1, &store);
+    for (size_t threads : {2, 4}) {
+        EXPECT_EQ(predictor.predictSweep(small, points, threads, &store),
+                  small1) << threads << " threads";
+        EXPECT_EQ(predictor.predictSweep(large, points, threads, &store),
+                  large1) << threads << " threads";
+    }
+    // Back on the calling thread after the longer region.
+    EXPECT_EQ(predictor.predictSweep(small, points, 1, &store), small1);
+    for (size_t i : {0, 13, 23})
+        EXPECT_EQ(small1[i], predictor.predictCpi(small, points[i]));
+}
+
 } // anonymous namespace
 } // namespace concorde

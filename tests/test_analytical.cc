@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "analytical/feature_provider.hh"
 #include "analytical/frontend_models.hh"
 #include "analytical/lsq_model.hh"
+#include "analytical/rob_kernels.hh"
 #include "analytical/rob_model.hh"
 #include "analytical/width_models.hh"
+#include "common/cpu.hh"
+#include "common/rng.hh"
 #include "trace/workloads.hh"
 
 namespace concorde
@@ -69,7 +73,7 @@ TEST(RobModel, SerialChainBoundsAtOne)
     const auto region = chainRegion(4000, 1);
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 1);
-    const auto result = runRobModel(region, index, lat, 512, 400, false);
+    const auto result = runRobModel(region, index, lat, 512, 400);
     EXPECT_NEAR(result.overallIpc, 1.0, 0.05);
 }
 
@@ -78,7 +82,7 @@ TEST(RobModel, RobOneSerializes)
     const auto region = chainRegion(4000, 0);   // independent
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 3);
-    const auto result = runRobModel(region, index, lat, 1, 400, false);
+    const auto result = runRobModel(region, index, lat, 1, 400);
     // One instruction in flight at a time: IPC = 1/3.
     EXPECT_NEAR(result.overallIpc, 1.0 / 3.0, 0.02);
 }
@@ -88,7 +92,7 @@ TEST(RobModel, IndependentInstructionsUncapped)
     const auto region = chainRegion(4000, 0);
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 1);
-    const auto result = runRobModel(region, index, lat, 1024, 400, false);
+    const auto result = runRobModel(region, index, lat, 1024, 400);
     // No dependencies, huge ROB: bound hits the throughput cap.
     EXPECT_GT(result.overallIpc, 30.0);
 }
@@ -98,15 +102,18 @@ TEST(RobModel, LatenciesCollectedAndConsistent)
     const auto region = chainRegion(2000, 2);
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 5);
-    const auto result = runRobModel(region, index, lat, 64, 400, true);
-    ASSERT_EQ(result.issueLat.size(), region.size());
-    ASSERT_EQ(result.execLat.size(), region.size());
-    ASSERT_EQ(result.commitLat.size(), region.size());
-    for (size_t i = 0; i < region.size(); ++i) {
-        EXPECT_GE(result.issueLat[i], 0.0);
-        EXPECT_DOUBLE_EQ(result.execLat[i], 5.0);
-        EXPECT_GE(result.commitLat[i], 0.0);
-    }
+    // Two sizes, so hosts with AVX-512F run the lockstep kernel.
+    std::vector<RobModelResult> results;
+    std::vector<RobStageLatencies> latencies;
+    runRobModels(region, index, lat, {{64, true, true}, {16, true, false}},
+                 400, results, latencies);
+    ASSERT_EQ(results.size(), 2u);
+    const RobStageLatencies &lats = latencies[0];
+    EXPECT_EQ(lats.issue.size(), region.size());
+    EXPECT_EQ(lats.commit.size(), region.size());
+    EXPECT_EQ(lats.exec.size(), region.size());
+    EXPECT_EQ(lats.exec.count(5), region.size());
+    EXPECT_EQ(latencies[1].issue.size(), region.size());
 }
 
 TEST(RobModel, IsbDrainsPipeline)
@@ -116,10 +123,10 @@ TEST(RobModel, IsbDrainsPipeline)
         region.type[i] = InstrType::Isb;
     const auto index = LoadLineIndex::build(region);
     std::vector<int32_t> lat(region.size(), 1);
-    const auto with_isb = runRobModel(region, index, lat, 256, 400, false);
+    const auto with_isb = runRobModel(region, index, lat, 256, 400);
     const auto baseline =
         runRobModel(chainRegion(2000, 0), LoadLineIndex::build(region),
-                    lat, 256, 400, false);
+                    lat, 256, 400);
     EXPECT_LT(with_isb.overallIpc, baseline.overallIpc);
 }
 
@@ -136,7 +143,7 @@ TEST_P(RobMonotonicity, ThroughputNonDecreasingInRobSize)
     for (int rob : {1, 4, 16, 64, 256, 1024}) {
         const auto result =
             runRobModel(analysis.regionColumns(), analysis.loadIndex(),
-                        dside.execLat, rob, 400, false);
+                        dside.execLat, rob, 400);
         EXPECT_GE(result.overallIpc, prev * 0.999)
             << "ROB " << rob;
         prev = result.overallIpc;
@@ -145,6 +152,327 @@ TEST_P(RobMonotonicity, ThroughputNonDecreasingInRobSize)
 
 INSTANTIATE_TEST_SUITE_P(Programs, RobMonotonicity,
                          ::testing::Values("P1", "S1", "S5", "O3", "C1"));
+
+// ---- ROB kernels vs the per-instruction reference ----
+
+/** One single-size run with per-instruction stage latencies. */
+struct ReferenceRun
+{
+    std::vector<double> windows;
+    double overallIpc = 0.0;
+    std::vector<double> issue, exec, commit;
+};
+
+/**
+ * Reference ROB model, one size per run, written for clarity: an
+ * n-entry finish array, 64-bit cycles and three n-length latency
+ * vectors.
+ */
+ReferenceRun
+referenceRobModel(const TraceColumns &region, const LoadLineIndex &index,
+                  const std::vector<int32_t> &exec_lat, int rob_size,
+                  int window_k)
+{
+    ReferenceRun run;
+    const size_t n = region.size();
+    if (n == 0)
+        return run;
+    MemoryStateMachine memory(index, exec_lat);
+    std::vector<uint64_t> commit_ring(rob_size, 0), finish(n, 0);
+    std::vector<uint64_t> boundaries;
+    uint64_t c_prev = 0, max_finish = 0, barrier_finish = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t a = commit_ring[i % rob_size];
+        uint64_t s = std::max(a, barrier_finish);
+        for (int32_t dep :
+             {region.srcDep0[i], region.srcDep1[i], region.memDep[i]}) {
+            if (dep >= 0)
+                s = std::max(s, finish[dep]);
+        }
+        if (region.isIsb(i))
+            s = std::max(s, max_finish);
+        const uint64_t f = memory.respCycleInOrder(s, i, region.isLoad(i));
+        const uint64_t c = std::max(f, c_prev);
+        finish[i] = f;
+        max_finish = std::max(max_finish, f);
+        if (region.isIsb(i))
+            barrier_finish = std::max(barrier_finish, f);
+        commit_ring[i % rob_size] = c;
+        c_prev = c;
+        run.issue.push_back(static_cast<double>(s - a));
+        run.exec.push_back(static_cast<double>(f - s));
+        run.commit.push_back(static_cast<double>(c - f));
+        if ((i + 1) % window_k == 0)
+            boundaries.push_back(c);
+    }
+    run.windows = throughputFromBoundaries(boundaries, window_k);
+    run.overallIpc = c_prev > 0
+        ? static_cast<double>(n) / static_cast<double>(c_prev)
+        : kMaxThroughput;
+    return run;
+}
+
+/** Reference latency encode: sort, log1p, encodeSorted. */
+std::vector<float>
+referenceEncode(std::vector<double> samples)
+{
+    sortSamples(samples);
+    for (double &x : samples)
+        x = std::log1p(x);
+    std::vector<float> out;
+    DistributionEncoder(25).encodeSorted(samples, out);
+    return out;
+}
+
+std::vector<float>
+histogramEncode(IntegerHistogram &hist)
+{
+    std::vector<float> out;
+    DistributionEncoder(25).encodeHistogramLog1p(hist, out);
+    return out;
+}
+
+template <typename T>
+void
+expectBitwiseEqual(const std::vector<T> &got, const std::vector<T> &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(T)), 0)
+            << what << " entry " << i << ": " << got[i] << " vs "
+            << want[i];
+    }
+}
+
+/** A kernel's output for request k against the reference run. */
+void
+expectMatchesReference(const RobRunRequest &request,
+                       const RobModelResult &result,
+                       RobStageLatencies &latencies,
+                       const ReferenceRun &want, const std::string &what)
+{
+    const std::string label = what + " rob " + std::to_string(request.robSize);
+    expectBitwiseEqual(result.windowThroughput, want.windows,
+                       label + " windows");
+    EXPECT_EQ(std::memcmp(&result.overallIpc, &want.overallIpc,
+                          sizeof(double)), 0)
+        << label << " overallIpc " << result.overallIpc << " vs "
+        << want.overallIpc;
+    if (request.latencies) {
+        expectBitwiseEqual(histogramEncode(latencies.issue),
+                           referenceEncode(want.issue), label + " issue");
+        expectBitwiseEqual(histogramEncode(latencies.commit),
+                           referenceEncode(want.commit), label + " commit");
+    }
+    if (request.execLatency) {
+        expectBitwiseEqual(histogramEncode(latencies.exec),
+                           referenceEncode(want.exec), label + " exec");
+    }
+}
+
+/** A region and its d-side latencies. */
+struct KernelCase
+{
+    std::string name;
+    TraceColumns region;
+    std::vector<int32_t> execLat;
+};
+
+/**
+ * Synthetic trace: ALU ops and loads with random near dependencies.
+ * `isb_every` > 0 puts an ISB every that many instructions; `chase`
+ * makes every load depend on the previous load and share a few lines,
+ * with memory-like latencies.
+ */
+KernelCase
+syntheticCase(const std::string &name, size_t n, uint64_t seed,
+              int isb_every, bool chase)
+{
+    KernelCase kc;
+    kc.name = name;
+    Rng rng(seed);
+    int32_t last_load = -1;
+    for (size_t i = 0; i < n; ++i) {
+        Instruction instr;
+        instr.pc = 0x1000 + (i % 64) * 4;
+        int32_t lat = 1 + static_cast<int32_t>(rng.nextBounded(4));
+        if (isb_every > 0
+            && i % static_cast<size_t>(isb_every)
+                == static_cast<size_t>(isb_every - 1)) {
+            instr.type = InstrType::Isb;
+        } else if (rng.nextBounded(chase ? 2 : 4) == 0) {
+            instr.type = InstrType::Load;
+            const uint64_t lines = chase ? 8 : 256;
+            instr.memAddr = 0x100000 + rng.nextBounded(lines) * 64;
+            if (chase && last_load >= 0)
+                instr.srcDeps[0] = last_load;
+            lat = chase ? 20 + static_cast<int32_t>(rng.nextBounded(300))
+                        : 4 + static_cast<int32_t>(rng.nextBounded(40));
+            last_load = static_cast<int32_t>(i);
+        }
+        if (instr.srcDeps[0] < 0 && i > 0 && rng.nextBounded(2) == 0) {
+            instr.srcDeps[0] = static_cast<int32_t>(
+                i - 1 - rng.nextBounded(std::min<size_t>(i, 300)));
+        }
+        if (i > 0 && rng.nextBounded(3) == 0) {
+            instr.srcDeps[1] = static_cast<int32_t>(
+                i - 1 - rng.nextBounded(std::min<size_t>(i, 40)));
+        }
+        kc.region.append(instr);
+        kc.execLat.push_back(lat);
+    }
+    return kc;
+}
+
+std::vector<KernelCase>
+kernelCases()
+{
+    std::vector<KernelCase> cases;
+    cases.push_back(syntheticCase("isb_heavy", 3000, 11, 7, false));
+    cases.push_back(syntheticCase("chase_heavy", 3000, 12, 0, true));
+    for (const char *code : {"S5", "C1"}) {
+        RegionSpec spec{programIdByCode(code), 0, 1, 2};
+        RegionAnalysis analysis(spec, 1);
+        KernelCase kc;
+        kc.name = code;
+        kc.region = analysis.regionColumns();
+        kc.execLat = analysis.dside(MemoryConfig{}).execLat;
+        cases.push_back(std::move(kc));
+    }
+    return cases;
+}
+
+/**
+ * Requests cycling through sizes that cover ROB 1, sizes past the
+ * case's largest dependency distance and past its length, and
+ * duplicates; latency kinds vary per request.
+ */
+std::vector<RobRunRequest>
+kernelRequests(size_t count, size_t n)
+{
+    const int sizes[] = {1, 4, 1024, 2, 64, 4, static_cast<int>(n),
+                         static_cast<int>(n) + 5, 16, 1, 256, 3, 700, 128,
+                         8, 32};
+    std::vector<RobRunRequest> requests;
+    for (size_t k = 0; k < count; ++k) {
+        requests.push_back(RobRunRequest{sizes[k % 16], k % 3 != 1,
+                                         k % 4 == 0});
+    }
+    return requests;
+}
+
+TEST(RobKernels, PortableMatchesReference)
+{
+    for (KernelCase &kc : kernelCases()) {
+        const auto index = LoadLineIndex::build(kc.region);
+        const auto bounds =
+            robkernel::RegionBounds::of(kc.region, kc.execLat);
+        robkernel::Workspace work;
+        for (const RobRunRequest &request :
+             kernelRequests(16, kc.region.size())) {
+            RobModelResult result;
+            RobStageLatencies latencies;
+            robkernel::runPortable(kc.region, index, kc.execLat, bounds,
+                                   request, 400, result, latencies, work);
+            expectMatchesReference(
+                request, result, latencies,
+                referenceRobModel(kc.region, index, kc.execLat,
+                                  request.robSize, 400),
+                kc.name);
+        }
+    }
+}
+
+TEST(RobKernels, LockstepMatchesReferenceForEveryLaneCount)
+{
+    if (!avx512fSupported())
+        GTEST_SKIP() << "CPU lacks AVX-512F: lockstep ROB kernel not run";
+    for (KernelCase &kc : kernelCases()) {
+        const auto index = LoadLineIndex::build(kc.region);
+        const auto bounds =
+            robkernel::RegionBounds::of(kc.region, kc.execLat);
+        ASSERT_TRUE(bounds.fitsLanes()) << kc.name;
+        std::vector<ReferenceRun> want;
+        const auto all = kernelRequests(16, kc.region.size());
+        for (const RobRunRequest &request : all) {
+            want.push_back(referenceRobModel(kc.region, index, kc.execLat,
+                                             request.robSize, 400));
+        }
+        robkernel::Workspace work;
+        for (size_t count = 1; count <= robkernel::kLanes; ++count) {
+            std::vector<RobModelResult> results(count);
+            std::vector<RobStageLatencies> latencies(count);
+            robkernel::runLockstep(kc.region, index, kc.execLat, bounds,
+                                   all.data(), count, 400, results.data(),
+                                   latencies.data(), work);
+            for (size_t l = 0; l < count; ++l) {
+                expectMatchesReference(
+                    all[l], results[l], latencies[l], want[l],
+                    kc.name + " lanes " + std::to_string(count));
+            }
+        }
+    }
+}
+
+TEST(RobKernels, WideCyclesFallBackAndMatch)
+{
+    // Latencies near 2^28 push the region's cycles past 32 bits, so a
+    // multi-size call must take the 64-bit portable kernel.
+    KernelCase kc = syntheticCase("wide", 1200, 13, 50, true);
+    for (size_t i = 0; i < kc.execLat.size(); i += 40)
+        kc.execLat[i] = (1 << 28) + static_cast<int32_t>(i);
+    const auto index = LoadLineIndex::build(kc.region);
+    EXPECT_FALSE(robkernel::RegionBounds::of(kc.region, kc.execLat)
+                     .fitsLanes());
+    const auto requests = kernelRequests(12, kc.region.size());
+    std::vector<RobModelResult> results;
+    std::vector<RobStageLatencies> latencies;
+    runRobModels(kc.region, index, kc.execLat, requests, 400, results,
+                 latencies);
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t k = 0; k < requests.size(); ++k) {
+        expectMatchesReference(
+            requests[k], results[k], latencies[k],
+            referenceRobModel(kc.region, index, kc.execLat,
+                              requests[k].robSize, 400),
+            kc.name);
+    }
+}
+
+TEST(RobKernels, RunRobModelsMatchesReference)
+{
+    // The dispatcher, with output vectors reused across calls: more sizes
+    // than lanes, then fewer, then one.
+    std::vector<RobModelResult> results;
+    std::vector<RobStageLatencies> latencies;
+    for (KernelCase &kc : kernelCases()) {
+        const auto index = LoadLineIndex::build(kc.region);
+        for (size_t count : {20, 5, 1}) {
+            auto requests = kernelRequests(16, kc.region.size());
+            while (requests.size() < count)
+                requests.push_back(RobRunRequest{
+                    static_cast<int>(requests.size()) * 9, true, true});
+            requests.resize(count);
+            runRobModels(kc.region, index, kc.execLat, requests, 400,
+                         results, latencies);
+            ASSERT_EQ(results.size(), count);
+            for (size_t k = 0; k < count; ++k) {
+                expectMatchesReference(
+                    requests[k], results[k], latencies[k],
+                    referenceRobModel(kc.region, index, kc.execLat,
+                                      requests[k].robSize, 400),
+                    kc.name + " dispatch");
+            }
+        }
+    }
+}
+
+TEST(RobKernels, KernelNameMatchesProbe)
+{
+    EXPECT_STREQ(robKernelName(),
+                 avx512fSupported() ? "avx512f" : "portable");
+}
 
 TEST(LsqModel, NoLoadsMeansUnbounded)
 {

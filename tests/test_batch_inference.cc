@@ -21,6 +21,7 @@
 #include <limits>
 #include <string>
 
+#include "common/cpu.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "core/concorde.hh"
@@ -196,7 +197,7 @@ TEST(GemmKernels, PortableMatchesForwardBitwise)
 
 TEST(GemmKernels, Avx512MatchesForwardBitwise)
 {
-    if (!gemm::avx512Supported())
+    if (!avx512fSupported())
         GTEST_SKIP() << "CPU lacks AVX-512F";
     checkKernel(gemm::layerAvx512);
 }
@@ -204,11 +205,11 @@ TEST(GemmKernels, Avx512MatchesForwardBitwise)
 TEST(GemmKernels, KernelNameMatchesDispatch)
 {
     const std::string name = Mlp::batchKernelName();
-    EXPECT_EQ(name, gemm::avx512Supported() ? "avx512f" : "portable");
+    EXPECT_EQ(name, avx512fSupported() ? "avx512f" : "portable");
     // A lone row always takes the scalar corner kernel.
     EXPECT_EQ(gemm::kernelFor(1), gemm::layerPortable);
     EXPECT_EQ(gemm::kernelFor(545) == gemm::layerAvx512,
-              gemm::avx512Supported());
+              avx512fSupported());
 }
 
 TEST(ForwardBatch, MatchesScalarForward)

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cmath>
 #include <cstring>
 
 #include "common/rng.hh"
@@ -185,7 +186,7 @@ TEST(SortSamples, MatchesStdSortBitwise)
         }
     };
 
-    // Large integral input: the counting fast path.
+    // Large integral input.
     std::vector<double> integral(4096);
     for (double &x : integral)
         x = static_cast<double>(rng.nextBounded(300));
@@ -194,13 +195,13 @@ TEST(SortSamples, MatchesStdSortBitwise)
     // Duplicate-heavy and all-equal inputs.
     check(std::vector<double>(512, 7.0));
 
-    // Fractional values: std::sort fallback.
+    // Fractional values.
     std::vector<double> fractional(512);
     for (double &x : fractional)
         x = rng.nextDouble() * 50.0;
     check(fractional);
 
-    // Negative values and huge values force the fallback too.
+    // Negative values and huge values.
     std::vector<double> mixed(512);
     for (double &x : mixed)
         x = static_cast<double>(rng.nextBounded(100)) - 50.0;
@@ -210,7 +211,7 @@ TEST(SortSamples, MatchesStdSortBitwise)
         x = static_cast<double>(rng.nextBounded(1000)) * 1e6;
     check(huge);
 
-    // Small inputs stay on std::sort (below the counting threshold).
+    // Small inputs.
     check({3.0, 1.0, 2.0});
     check({});
 }
@@ -301,6 +302,101 @@ TEST(DistributionEncoder, AppendsWithoutClobbering)
     enc.encode({1.0}, out);
     EXPECT_EQ(out.size(), 1 + enc.dim());
     EXPECT_EQ(out[0], 7.0f);
+}
+
+/** Reference latency encode: sort, log1p, encodeSorted. */
+std::vector<float>
+sortedLog1pEncode(const DistributionEncoder &enc,
+                  const std::vector<uint64_t> &samples)
+{
+    std::vector<double> xs(samples.begin(), samples.end());
+    sortSamples(xs);
+    for (double &x : xs)
+        x = std::log1p(x);
+    std::vector<float> out;
+    enc.encodeSorted(xs, out);
+    return out;
+}
+
+void
+expectHistogramEncodeMatches(const std::vector<uint64_t> &samples,
+                             size_t num_percentiles, const char *what)
+{
+    const DistributionEncoder enc(num_percentiles);
+    IntegerHistogram hist;
+    hist.clear();
+    for (uint64_t v : samples)
+        hist.add(v);
+    EXPECT_EQ(hist.size(), samples.size()) << what;
+    std::vector<float> got = {-1.0f};   // appended after, not over
+    enc.encodeHistogramLog1p(hist, got);
+    const std::vector<float> want = sortedLog1pEncode(enc, samples);
+    ASSERT_EQ(got.size(), 1 + want.size()) << what;
+    EXPECT_EQ(got[0], -1.0f) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[1 + i], &want[i], sizeof(float)), 0)
+            << what << " P=" << num_percentiles << " entry " << i << ": "
+            << got[1 + i] << " vs " << want[i];
+    }
+}
+
+TEST(IntegerHistogram, EncodeMatchesSortedLog1pEncode)
+{
+    constexpr uint64_t cap = IntegerHistogram::kDenseCap;
+    for (size_t p : {2, 3, 5, 25, 50}) {
+        expectHistogramEncodeMatches({}, p, "empty");
+        expectHistogramEncodeMatches(std::vector<uint64_t>(300, 0), p,
+                                     "all zero");
+        expectHistogramEncodeMatches({0}, p, "one zero");
+        expectHistogramEncodeMatches({7}, p, "one sample");
+        expectHistogramEncodeMatches({cap + 9}, p, "one large sample");
+        expectHistogramEncodeMatches({3, 0, 1}, p, "n < P");
+        expectHistogramEncodeMatches(std::vector<uint64_t>(1000, 9), p,
+                                     "all equal");
+        expectHistogramEncodeMatches(std::vector<uint64_t>(77, cap), p,
+                                     "all equal at the cap");
+        expectHistogramEncodeMatches(
+            {cap - 1, cap, cap + 1, cap, 1u << 20, 1ull << 40, 0, 1, 1,
+             cap - 1, 1ull << 40},
+            p, "at and above the cap");
+        // Cumulative sums landing exactly on weighted-percentile
+        // targets: q * total is exact for these q and equal values.
+        expectHistogramEncodeMatches({1, 1, 1, 1}, p, "tied boundaries");
+        expectHistogramEncodeMatches({0, 0, 5, 5, 5, 5, 0, 0}, p,
+                                     "tied boundaries after zeros");
+        expectHistogramEncodeMatches(std::vector<uint64_t>(8, cap + 3), p,
+                                     "tied large boundaries");
+    }
+
+    // Stage-latency-like mixes: mostly small, a zero spike, a long tail
+    // past the cap.
+    Rng rng(91);
+    for (int round = 0; round < 6; ++round) {
+        std::vector<uint64_t> samples(round < 3 ? 40 : 5000);
+        for (uint64_t &v : samples) {
+            const uint64_t pick = rng.nextBounded(10);
+            v = pick < 3 ? 0
+                : pick < 8 ? rng.nextBounded(64)
+                : rng.nextBounded(3 * cap);
+        }
+        expectHistogramEncodeMatches(samples, 25, "random mix");
+        expectHistogramEncodeMatches(samples, 4, "random mix");
+    }
+}
+
+TEST(IntegerHistogram, CountsAndClear)
+{
+    IntegerHistogram hist;
+    hist.clear();
+    for (uint64_t v : {0ull, 5ull, 5ull, 5000ull, 5000ull, 1ull << 33})
+        hist.add(v);
+    EXPECT_EQ(hist.size(), 6u);
+    EXPECT_EQ(hist.count(5), 2u);
+    EXPECT_EQ(hist.count(5000), 2u);
+    EXPECT_EQ(hist.count(1ull << 33), 1u);
+    EXPECT_EQ(hist.count(1), 0u);
+    hist.clear();
+    EXPECT_EQ(hist.size(), 0u);
 }
 
 TEST(RunningStats, MatchesClosedForm)
