@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the evaluation benches: error statistics, CDF
- * printing, the cached TAO baseline artifact, and the mode flags and
+ * points, the cached TAO baseline artifact, and the mode flags and
  * BENCH_*.json writer of the gated benches.
  */
 
@@ -81,15 +81,21 @@ relativeErrors(const TrainedModel &model, const Dataset &data)
     return errors;
 }
 
-/** Print a one-line error summary. */
-inline void
-printErrorRow(const std::string &label, const ErrorStats &stats)
+/** The p5, p25, p50, p75 and p95 points of a CDF (nearest rank). */
+constexpr double kCdfPoints[] = {0.05, 0.25, 0.5, 0.75, 0.95};
+
+inline std::vector<double>
+cdfQuantiles(std::vector<double> values)
 {
-    std::printf("  %-28s avg %6.2f%%  p50 %6.2f%%  p90 %6.2f%%  "
-                "p99 %7.2f%%  >10%%: %5.2f%%  (n=%zu)\n",
-                label.c_str(), 100 * stats.mean, 100 * stats.p50,
-                100 * stats.p90, 100 * stats.p99,
-                100 * stats.fracAbove10pct, stats.count);
+    std::vector<double> points;
+    if (values.empty())
+        return points;
+    std::sort(values.begin(), values.end());
+    for (double p : kCdfPoints) {
+        points.push_back(values[static_cast<size_t>(
+            p * static_cast<double>(values.size() - 1))]);
+    }
+    return points;
 }
 
 /** Print an inline CDF (selected percentiles) of arbitrary values. */
@@ -97,17 +103,13 @@ inline void
 printCdf(const std::string &label, std::vector<double> values,
          const char *unit = "")
 {
-    if (values.empty())
+    const auto q = cdfQuantiles(std::move(values));
+    if (q.empty())
         return;
-    std::sort(values.begin(), values.end());
-    auto q = [&](double p) {
-        return values[static_cast<size_t>(
-            p * static_cast<double>(values.size() - 1))];
-    };
     std::printf("  %-28s p5 %9.3g%s  p25 %9.3g%s  p50 %9.3g%s  "
                 "p75 %9.3g%s  p95 %9.3g%s\n",
-                label.c_str(), q(0.05), unit, q(0.25), unit, q(0.5), unit,
-                q(0.75), unit, q(0.95), unit);
+                label.c_str(), q[0], unit, q[1], unit, q[2], unit, q[3],
+                unit, q[4], unit);
 }
 
 /** Cached TAO baseline trained on the SPEC@N1 dataset. */
@@ -235,18 +237,6 @@ class BenchJson
     std::FILE *file = nullptr;
     bool first = true;
 };
-
-/** Indices of dataset samples belonging to one program. */
-inline std::vector<size_t>
-samplesOfProgram(const Dataset &data, int program_id)
-{
-    std::vector<size_t> indices;
-    for (size_t i = 0; i < data.size(); ++i) {
-        if (data.meta[i].region.programId == program_id)
-            indices.push_back(i);
-    }
-    return indices;
-}
 
 } // namespace benchutil
 } // namespace concorde

@@ -1,11 +1,16 @@
 #include "core/artifacts.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "common/serialize.hh"
 #include "common/stopwatch.hh"
 
 namespace concorde
@@ -16,16 +21,6 @@ namespace artifacts
 namespace
 {
 
-size_t
-envSize(const char *name, size_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    const long long parsed = std::atoll(value);
-    return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
-
 std::mutex &
 artifactMutex()
 {
@@ -33,21 +28,36 @@ artifactMutex()
     return m;
 }
 
-/** Load-or-build a dataset cached on disk. */
-Dataset
-cachedDataset(const std::string &name, const DatasetConfig &config)
+std::string
+hex(uint64_t h)
 {
-    const std::string path = dir() + "/" + name + "_"
-        + std::to_string(config.numSamples) + ".bin";
-    if (fileExists(path))
-        return Dataset::load(path);
-    inform("building dataset '%s' (%zu samples, %u-chunk regions)...",
-           name.c_str(), config.numSamples, config.regionChunks);
-    Stopwatch timer;
-    Dataset data = buildDataset(config);
-    inform("dataset '%s' built in %.1fs", name.c_str(), timer.seconds());
-    data.save(path);
-    return data;
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+    return buf;
+}
+
+uint64_t
+mixDouble(uint64_t h, double value)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return hashMix(h, bits);
+}
+
+/** Every TrainConfig field that shapes the trained weights. */
+uint64_t
+trainConfigHash(const TrainConfig &config)
+{
+    uint64_t h = hashMix(0x7A1C0F16ULL, config.batchSize, config.epochs);
+    for (size_t hidden : config.hiddenSizes)
+        h = hashMix(h, 1, hidden);
+    for (double value : {config.learningRate, config.weightDecay,
+                         config.beta1, config.beta2, config.adamEps,
+                         config.valFraction})
+        h = mixDouble(h, value);
+    for (double frac : config.lrHalveAt)
+        h = mixDouble(hashMix(h, 2), frac);
+    return hashMix(h, config.seed, config.threads);
 }
 
 } // anonymous namespace
@@ -60,6 +70,58 @@ dir()
         override_dir && *override_dir ? override_dir : "artifacts";
     ensureDir(path);
     return path;
+}
+
+size_t
+envSize(const char *name, size_t fallback)
+{
+    const char *value = std::getenv(name);
+    if (!value || !*value)
+        return fallback;
+    const char *end = value + std::strlen(value);
+    size_t parsed = 0;
+    const auto [stop, error] = std::from_chars(value, end, parsed);
+    fatal_if(error != std::errc() || stop != end || parsed == 0,
+             "%s must be a positive decimal integer, got '%s'", name,
+             value);
+    return parsed;
+}
+
+std::string
+datasetPath(const std::string &name, const DatasetConfig &config)
+{
+    return dir() + "/" + name + "_" + std::to_string(config.numSamples)
+        + "_" + hex(datasetConfigFingerprint(config, 0)) + ".bin";
+}
+
+Dataset
+cachedDataset(const std::string &name, const DatasetConfig &config)
+{
+    const std::string path = datasetPath(name, config);
+    if (fileExists(path))
+        return Dataset::load(path);
+    inform("building dataset '%s' (%zu samples, %u-chunk regions)...",
+           name.c_str(), config.numSamples, config.regionChunks);
+    Stopwatch timer;
+    Dataset data = buildDataset(config);
+    inform("dataset '%s' built in %.1fs", name.c_str(), timer.seconds());
+    data.save(path);
+    return data;
+}
+
+std::string
+modelPath(const std::string &name, const Dataset &data,
+          const std::vector<float> &labels, const TrainConfig &config,
+          const std::vector<uint8_t> *mask)
+{
+    uint64_t h = hashBytes(data.features.data(),
+                           data.features.size() * sizeof(float));
+    h = hashBytes(labels.data(), labels.size() * sizeof(float), h);
+    h = hashMix(h, data.dim, trainConfigHash(config));
+    if (mask)
+        h = hashBytes(mask->data(), mask->size(), hashMix(h, 3));
+    return dir() + "/model_" + name + "_" + std::to_string(data.size())
+        + "x" + std::to_string(config.epochs) + "_" + hex(h) + ".bin";
 }
 
 size_t trainSamples() { return envSize("CONCORDE_TRAIN_SAMPLES", 24000); }
@@ -218,19 +280,19 @@ onboardPool(int program_id, size_t samples)
 TrainedModel
 trainOn(const Dataset &data, const std::string &cache_name,
         const std::vector<uint8_t> *mask,
-        const std::vector<float> *labels_override)
+        const std::vector<float> *labels_override,
+        const TrainConfig &config)
 {
-    const std::string path = dir() + "/model_" + cache_name + "_"
-        + std::to_string(data.size()) + "x" + std::to_string(epochs())
-        + ".bin";
+    const auto &labels = labels_override ? *labels_override : data.labels;
+    const std::string path =
+        modelPath(cache_name, data, labels, config, mask);
     if (fileExists(path))
         return TrainedModel::load(path);
     inform("training model '%s' on %zu samples...", cache_name.c_str(),
            data.size());
     Stopwatch timer;
-    const auto &labels = labels_override ? *labels_override : data.labels;
     TrainedModel model =
-        trainMlp(data.features, labels, data.dim, trainConfig(), mask);
+        trainMlp(data.features, labels, data.dim, config, mask);
     inform("model '%s' trained in %.1fs (train rel-err %.4f)",
            cache_name.c_str(), timer.seconds(),
            model.meanRelativeError(data.features, labels, data.dim));

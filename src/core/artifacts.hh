@@ -7,10 +7,16 @@
  *
  *   CONCORDE_TRAIN_SAMPLES      (default 24000)   main 16k-instr dataset
  *   CONCORDE_TEST_SAMPLES       (default 3000)
- *   CONCORDE_LONG_TRAIN_SAMPLES (default 6000)    64k-instr dataset
- *   CONCORDE_LONG_TEST_SAMPLES  (default 800)
+ *   CONCORDE_LONG_TRAIN_SAMPLES (default 16000)   64k-instr dataset
+ *   CONCORDE_LONG_TEST_SAMPLES  (default 1200)
  *   CONCORDE_SPEC_SAMPLES       (default 3000)    SPEC@N1 (TAO comparison)
  *   CONCORDE_EPOCHS             (default 60)
+ *
+ * A size that is set must be a positive decimal integer; anything else
+ * exits through fatal(). Cache file names carry a hash of the file's
+ * configuration, so a changed configuration never reloads a stale file.
+ * The code that builds a file is not in the hash: after a change to
+ * features, labels or training, start from an empty directory.
  */
 
 #ifndef CONCORDE_CORE_ARTIFACTS_HH
@@ -61,10 +67,33 @@ const TrainedModel &longModel();
  */
 const TrainedModel &ablationModel(const std::string &name);
 
-/** Train a model on an arbitrary dataset with the canonical config. */
+/**
+ * Cache file of a dataset: `<dir>/<name>_<samples>_<h>.bin`, where h is
+ * datasetConfigFingerprint(config) in hex.
+ */
+std::string datasetPath(const std::string &name,
+                        const DatasetConfig &config);
+
+/** Load `datasetPath(name, config)`, building and saving it if absent. */
+Dataset cachedDataset(const std::string &name, const DatasetConfig &config);
+
+/**
+ * Cache file of a trainOn model: `<dir>/model_<name>_<n>x<epochs>_<h>.bin`,
+ * where h hashes the training rows and labels, `config` and `mask`.
+ */
+std::string modelPath(const std::string &name, const Dataset &data,
+                      const std::vector<float> &labels,
+                      const TrainConfig &config,
+                      const std::vector<uint8_t> *mask);
+
+/**
+ * Train a model on an arbitrary dataset (cached at modelPath). Labels
+ * default to `data.labels`, the configuration to trainConfig().
+ */
 TrainedModel trainOn(const Dataset &data, const std::string &cache_name,
                      const std::vector<uint8_t> *mask = nullptr,
-                     const std::vector<float> *labels_override = nullptr);
+                     const std::vector<float> *labels_override = nullptr,
+                     const TrainConfig &config = trainConfig());
 
 /**
  * Deterministic untrained model over `config`'s feature layout: He-init
@@ -78,10 +107,15 @@ TrainedModel trainOn(const Dataset &data, const std::string &cache_name,
 TrainedModel untrainedModel(const FeatureConfig &config, uint64_t seed,
                             const std::vector<size_t> &hidden = {192, 96});
 
-/** Generate all shared artifacts up front (bench_00_prepare). */
+/** Generate all shared datasets and models up front. */
 void ensurePrepared();
 
 // ---- env-tunable sizes ----
+/**
+ * The positive decimal integer in env var `name`, or `fallback` when it
+ * is unset or empty; fatal() on anything else ("abc", "0", "1e3").
+ */
+size_t envSize(const char *name, size_t fallback);
 size_t trainSamples();
 size_t testSamples();
 size_t longTrainSamples();

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/serialize.hh"
+#include "core/artifacts.hh"
 #include "core/concorde.hh"
 #include "core/dataset.hh"
 #include "core/model_artifact.hh"
@@ -266,6 +267,58 @@ TEST(Predictor, LongProgramAveragesSamples)
     // Determinism.
     EXPECT_EQ(estimate, predictor.predictLongProgram(
         UarchParams::armN1(), 0, 0, 64, 3, 2, 123));
+}
+
+// ---- artifact cache ----
+
+TEST(Artifacts, EnvSizeAcceptsOnlyPositiveDecimalIntegers)
+{
+    for (const char *bad : {"abc", "0", "-5", "1e3", "12x"}) {
+        EXPECT_EXIT(
+            {
+                setenv("CONCORDE_TRAIN_SAMPLES", bad, 1);
+                (void)artifacts::trainSamples();
+            },
+            ::testing::ExitedWithCode(1), "CONCORDE_TRAIN_SAMPLES")
+            << bad;
+    }
+    setenv("CONCORDE_TRAIN_SAMPLES", "1234", 1);
+    EXPECT_EQ(artifacts::trainSamples(), 1234u);
+    unsetenv("CONCORDE_TRAIN_SAMPLES");
+    EXPECT_EQ(artifacts::trainSamples(), 24000u);
+}
+
+TEST(Artifacts, CachePathsKeyTheConfiguration)
+{
+    setenv("CONCORDE_ARTIFACTS",
+           (::testing::TempDir() + "concorde_artifacts_test").c_str(), 1);
+    const DatasetConfig config = smallConfig(10, 5);
+    DatasetConfig wider = config;
+    wider.features.windowK = 2 * config.features.windowK;
+    EXPECT_EQ(artifacts::datasetPath("d", config),
+              artifacts::datasetPath("d", config));
+    EXPECT_NE(artifacts::datasetPath("d", config),
+              artifacts::datasetPath("d", wider));
+
+    Dataset data;
+    data.dim = 2;
+    data.features = {1, 2, 3, 4};
+    data.labels = {1, 2};
+    const TrainConfig train;
+    TrainConfig one_layer = train;
+    one_layer.hiddenSizes = {8};
+    const std::vector<uint8_t> mask = {1, 0};
+    const std::vector<float> other_labels = {2, 1};
+    const std::string path =
+        artifacts::modelPath("m", data, data.labels, train, nullptr);
+    EXPECT_EQ(path,
+              artifacts::modelPath("m", data, data.labels, train, nullptr));
+    EXPECT_NE(path, artifacts::modelPath("m", data, data.labels, one_layer,
+                                         nullptr));
+    EXPECT_NE(path,
+              artifacts::modelPath("m", data, data.labels, train, &mask));
+    EXPECT_NE(path,
+              artifacts::modelPath("m", data, other_labels, train, nullptr));
 }
 
 } // anonymous namespace

@@ -153,6 +153,16 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
         echo "bench_fig10_speed not built (no google-benchmark); skipping"
     fi
 
+    # Every paper row at smoke scale on the same datasets: all rows,
+    # finite values and Figure 12's ablation order. 8 epochs, not 4: at
+    # 4 the base ablation model is still worse than the analytical bound.
+    env CONCORDE_ARTIFACTS=bench-artifacts \
+        CONCORDE_TRAIN_SAMPLES=1200 CONCORDE_TEST_SAMPLES=200 \
+        CONCORDE_LONG_TRAIN_SAMPLES=200 CONCORDE_LONG_TEST_SAMPLES=50 \
+        CONCORDE_SPEC_SAMPLES=200 CONCORDE_EPOCHS=8 \
+        CONCORDE_BENCH_JSON=RESULTS_smoke.json ./build/bench/bench_paper
+    python3 tools/check_results.py RESULTS_smoke.json
+
     # Human-readable roll-up of every BENCH_*.json written above (the
     # same summary CI posts to the job page).
     sh tools/bench_summary.sh BENCH_*.json || true
