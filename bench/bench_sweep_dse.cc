@@ -17,8 +17,15 @@
  *            one batched GEMM; timed with the default thread count and
  *            with threads = 1
  *
+ * and a cold Shapley-shaped batch (the 1,089 points of a 64-permutation
+ * Figure-16 attribution from ARM N1 to the big core) through
+ * ConcordePredictor::predictCpiBatch on a fresh provider per attempt,
+ * timed with threads = 1 and with the default thread count. Its rates
+ * are reported, not gated.
+ *
  * Gates (exit 1 on failure; margins are 1-core-VM safe):
- *   - both sweeps' CPIs identical to the scalar loop (max |diff| == 0)
+ *   - both sweeps' CPIs identical to the scalar loop, and both batches'
+ *     CPIs identical to a per-point predictCpi loop (max |diff| == 0)
  *   - the threads = 1 sweep's throughput >= 3x the scalar loop, so the
  *     gate measures memoization, not core count
  *
@@ -41,6 +48,7 @@
 #include "bench_util.hh"
 #include "common/stopwatch.hh"
 #include "core/concorde.hh"
+#include "core/shapley.hh"
 
 using namespace concorde;
 
@@ -72,6 +80,26 @@ designSpacePoints()
             points.push_back(point);
         }
     }
+    return points;
+}
+
+/**
+ * The design points of a batched 64-permutation Shapley attribution from
+ * ARM N1 to the big core over the Figure-16 components: the base plus
+ * every prefix of every sampled order.
+ */
+std::vector<UarchParams>
+shapleyPoints()
+{
+    std::vector<UarchParams> points;
+    ShapleyConfig config;
+    config.numPermutations = 64;
+    const BatchEval capture = [&](const std::vector<UarchParams> &pts) {
+        points = pts;
+        return std::vector<double>(pts.size(), 1.0);
+    };
+    (void)shapleyAttribution(UarchParams::armN1(), UarchParams::bigCore(),
+                             attributionComponents(), capture, config);
     return points;
 }
 
@@ -158,11 +186,49 @@ main(int argc, char **argv)
     }
     std::printf("  max |scalar - sweep| CPI: %.2e\n", max_diff);
 
+    // ---- cold Shapley-shaped predictCpiBatch: a fresh provider (trace
+    // generated off the clock) per attempt, so every attempt runs every
+    // analysis and analytical model of the batch
+    const std::vector<UarchParams> shapley = shapleyPoints();
+    auto time_batch = [&](size_t threads, std::vector<double> &cpis) {
+        double best_s = 1e30;
+        for (int r = 0; r < cfg.sweepReps; ++r) {
+            FeatureProvider provider(region, feature_cfg);
+            Stopwatch timer;
+            cpis = predictor.predictCpiBatch(provider, shapley, threads);
+            best_s = std::min(best_s, timer.seconds());
+        }
+        return static_cast<double>(shapley.size()) / best_s;
+    };
+    std::vector<double> batch_cpis;
+    std::vector<double> batch_1t_cpis;
+    const double batch_1t_rate = time_batch(1, batch_1t_cpis);
+    const double batch_rate = time_batch(0, batch_cpis);
+    std::printf("  cold Shapley batch (%zu points), predictCpiBatch:\n",
+                shapley.size());
+    std::printf("    threads=1:              %8.1f predictions/s\n",
+                batch_1t_rate);
+    std::printf("    default threads:        %8.1f predictions/s "
+                "(%.2fx)\n", batch_rate, batch_rate / batch_1t_rate);
+
+    double batch_diff = 0.0;
+    {
+        FeatureProvider provider(region, feature_cfg);
+        for (size_t i = 0; i < shapley.size(); ++i) {
+            const double cpi = predictor.predictCpi(provider, shapley[i]);
+            batch_diff = std::max({batch_diff,
+                                   std::abs(cpi - batch_cpis[i]),
+                                   std::abs(cpi - batch_1t_cpis[i])});
+        }
+    }
+    std::printf("  max |per-point - batch| CPI: %.2e\n", batch_diff);
+    max_diff = std::max(max_diff, batch_diff);
+
     // ---- gates ----
     bool pass = true;
     if (max_diff != 0.0) {
-        std::printf("  GATE FAIL: sweep CPIs diverge from the per-config "
-                    "loop\n");
+        std::printf("  GATE FAIL: sweep or batch CPIs diverge from the "
+                    "per-point loop\n");
         pass = false;
     }
     if (speedup_1t < 3.0) {
@@ -182,6 +248,9 @@ main(int argc, char **argv)
         json.field("sweep_pred_s", "%.1f", sweep_rate);
         json.field("sweep_1t_pred_s", "%.1f", sweep_1t_rate);
         json.field("speedup", "%.3f", speedup);
+        json.field("batch_points", "%zu", shapley.size());
+        json.field("batch_1t_pred_s", "%.1f", batch_1t_rate);
+        json.field("batch_pred_s", "%.1f", batch_rate);
         json.text("rob_kernel", robKernelName());
         json.field("store_built", "%llu",
                    static_cast<unsigned long long>(store.built));

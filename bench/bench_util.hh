@@ -116,15 +116,6 @@ printCdf(const std::string &label, std::vector<double> values,
 inline TaoModel
 taoArtifact()
 {
-    const TaoConfig default_config;
-    const std::string path = artifacts::dir() + "/model_tao_h"
-        + std::to_string(default_config.hidden) + "s"
-        + std::to_string(default_config.seqLen) + "e"
-        + std::to_string(default_config.epochs) + "_"
-        + std::to_string(artifacts::specN1Train().size()) + ".bin";
-    if (fileExists(path))
-        return TaoModel::load(path);
-
     const Dataset &train = artifacts::specN1Train();
     std::vector<RegionSpec> regions;
     std::vector<float> labels;
@@ -132,7 +123,12 @@ taoArtifact()
         regions.push_back(train.meta[i].region);
         labels.push_back(train.labels[i]);
     }
-    TaoConfig config;
+    const TaoConfig config;
+    const std::string path =
+        artifacts::taoModelPath(config, regions, labels);
+    if (fileExists(path))
+        return TaoModel::load(path);
+
     TaoModel model(config, UarchParams::armN1());
     std::printf("training TAO baseline on %zu SPEC@N1 regions...\n",
                 regions.size());

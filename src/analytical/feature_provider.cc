@@ -1,6 +1,7 @@
 #include "analytical/feature_provider.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "analytical/frontend_models.hh"
 #include "analytical/lsq_model.hh"
@@ -442,7 +443,9 @@ FeatureProvider::cpiMinBound(const UarchParams &params)
 void
 FeatureProvider::assemble(const UarchParams &params, std::vector<float> &out)
 {
-    out.reserve(out.size() + lay.dim());
+    // No reserve here: an exact out.size() + dim() reserve would copy the
+    // whole buffer on every row appended to a caller's matrix, while the
+    // appends below grow it geometrically.
 
     // Fill every still-missing trace analysis of this design point with
     // one fused warmup+region sweep (a cold assemble previously paid six
@@ -528,6 +531,40 @@ FeatureProvider::assemble(const UarchParams &params, std::vector<float> &out)
 
     // ---- target microarchitecture ----
     encodeParams(params, out);
+}
+
+void
+FeatureProvider::absorb(FeatureProvider &&other)
+{
+    panic_if(other.region != region,
+             "absorbing a provider over another analysis");
+    panic_if(other.cfg.windowK != cfg.windowK
+             || other.cfg.numPercentiles != cfg.numPercentiles
+             || other.cfg.robSweep != cfg.robSweep
+             || other.cfg.latencyRobSizes != cfg.latencyRobSizes,
+             "absorbing a provider with another FeatureConfig");
+
+    // merge() splices only the nodes whose key is missing here.
+    robCache.merge(other.robCache);
+    const std::pair<BoundCache *, BoundCache *> bounds[] = {
+        {&lqCache, &other.lqCache}, {&sqCache, &other.sqCache},
+        {&ifillCache, &other.ifillCache}, {&fbufCache, &other.fbufCache},
+        {&aluCache, &other.aluCache}, {&fpCache, &other.fpCache},
+        {&lsCache, &other.lsCache},
+        {&pipesLowerCache, &other.pipesLowerCache},
+        {&pipesUpperCache, &other.pipesUpperCache}};
+    for (const auto &[mine, theirs] : bounds)
+        mine->merge(*theirs);
+    estLoadLatSums.merge(other.estLoadLatSums);
+    if (!haveCounts && other.haveCounts) {
+        windowCounts = std::move(other.windowCounts);
+        haveCounts = true;
+        other.haveCounts = false;
+    }
+    if (encCountDists.empty())
+        encCountDists.swap(other.encCountDists);
+    totalModelRuns += other.totalModelRuns;
+    other.totalModelRuns = 0;
 }
 
 size_t

@@ -105,13 +105,16 @@ class FeatureLayout
  * packed-key analytical-model tables (robCache, lqCache, ...) and the
  * lazily encoded feature blocks inside their entries -- and every public
  * method may write to them, so concurrent calls on ONE instance race.
- * The two supported patterns, both regression-tested by test_pipeline,
- * are (a) shard-local providers, one instance per worker, as
- * AnalysisPipeline and ConcordePredictor::predictSweep do, and (b) one shared instance serialized by an
- * external mutex, as PredictionService does per (model, region). Results
- * are bitwise identical either way. The underlying RegionAnalysis MAY be
- * shared between providers on different threads (the AnalysisStore hands
- * out such snapshots); its own memo tables are internally locked.
+ * The two supported patterns, regression-tested by test_pipeline and
+ * test_analysis_store, are (a) worker-local providers, one instance per
+ * worker, as AnalysisPipeline, ConcordePredictor::predictSweep and
+ * ConcordePredictor::predictCpiBatch do (the last two absorb() their
+ * workers' memos back into the lead provider), and (b) one shared
+ * instance serialized by an external mutex, as PredictionService does
+ * per (model, region). Results are bitwise identical either way. The
+ * underlying RegionAnalysis MAY be shared between providers on different
+ * threads (the AnalysisStore hands out such snapshots); its own memo
+ * tables are internally locked.
  */
 class FeatureProvider
 {
@@ -173,6 +176,25 @@ class FeatureProvider
 
     /** Total memoized model runs so far (for cost accounting). */
     size_t modelRuns() const { return totalModelRuns; }
+
+    /**
+     * Is the ROB-model run of this size and d-side config memoized? A
+     * batch keeps a run of equal d-side config on a provider that
+     * answers yes for the run's first point.
+     */
+    bool hasRobRun(int rob_size, const MemoryConfig &mem) const
+    {
+        return hasRobEntry(rob_size, mem.dSideKey(), false);
+    }
+
+    /**
+     * Move every memo of `other` -- a provider over the same analysis
+     * and FeatureConfig, e.g. a batch worker's -- into this one, and add
+     * its modelRuns(). On a key both hold, this provider's entry stays
+     * (the two are equal by construction); `other` keeps only those
+     * duplicates. Panics if the analysis or the config differs.
+     */
+    void absorb(FeatureProvider &&other);
 
     /**
      * Trace-analysis estimate of total load latency over the region (the

@@ -12,6 +12,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/stopwatch.hh"
+#include "common/thread_pool.hh"
 
 namespace concorde
 {
@@ -122,6 +123,25 @@ modelPath(const std::string &name, const Dataset &data,
         h = hashBytes(mask->data(), mask->size(), hashMix(h, 3));
     return dir() + "/model_" + name + "_" + std::to_string(data.size())
         + "x" + std::to_string(config.epochs) + "_" + hex(h) + ".bin";
+}
+
+std::string
+taoModelPath(const TaoConfig &config, const std::vector<RegionSpec> &regions,
+             const std::vector<float> &labels)
+{
+    uint64_t h = hashMix(0x7A0C0F16ULL, config.hidden, config.seqLen);
+    h = hashMix(h, config.windowsPerRegion, config.epochs);
+    h = mixDouble(hashMix(h, config.batchSize), config.learningRate);
+    h = hashMix(h, config.seed,
+                config.threads == 0 ? defaultThreads() : config.threads);
+    for (const RegionSpec &r : regions) {
+        h = hashMix(hashMix(h, static_cast<uint64_t>(r.programId),
+                            static_cast<uint64_t>(r.traceId)),
+                    r.startChunk, r.numChunks);
+    }
+    h = hashBytes(labels.data(), labels.size() * sizeof(float), h);
+    return dir() + "/model_tao_" + std::to_string(regions.size()) + "x"
+        + std::to_string(config.epochs) + "_" + hex(h) + ".bin";
 }
 
 size_t trainSamples() { return envSize("CONCORDE_TRAIN_SAMPLES", 24000); }
@@ -357,21 +377,6 @@ ablationModel(const std::string &name)
         cache.emplace(name, trainOn(mainTrain(), "ablation_" + name,
                                     &mask));
     return pos->second;
-}
-
-void
-ensurePrepared()
-{
-    mainTrain();
-    mainTest();
-    fullModel();
-    longTrain();
-    longTest();
-    longModel();
-    specN1Train();
-    specN1Test();
-    ablationModel("base");
-    ablationModel("base_branch");
 }
 
 } // namespace artifacts

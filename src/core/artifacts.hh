@@ -24,6 +24,7 @@
 
 #include <string>
 
+#include "baseline/tao.hh"
 #include "core/concorde.hh"
 #include "core/dataset.hh"
 
@@ -96,6 +97,16 @@ TrainedModel trainOn(const Dataset &data, const std::string &cache_name,
                      const TrainConfig &config = trainConfig());
 
 /**
+ * Cache file of a TAO baseline: `<dir>/model_tao_<n>x<epochs>_<h>.bin`,
+ * where h hashes every TaoConfig field and the training regions and
+ * labels. The thread count is hashed as resolved (0 = this host's
+ * hardware threads), since it sets the gradient summation order.
+ */
+std::string taoModelPath(const TaoConfig &config,
+                         const std::vector<RegionSpec> &regions,
+                         const std::vector<float> &labels);
+
+/**
  * Deterministic untrained model over `config`'s feature layout: He-init
  * weights from `seed`, identity standardization, no mask. Exercises the
  * full prediction pipeline at the real per-request cost without any
@@ -106,9 +117,6 @@ TrainedModel trainOn(const Dataset &data, const std::string &cache_name,
  */
 TrainedModel untrainedModel(const FeatureConfig &config, uint64_t seed,
                             const std::vector<size_t> &hidden = {192, 96});
-
-/** Generate all shared datasets and models up front. */
-void ensurePrepared();
 
 // ---- env-tunable sizes ----
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -11,6 +12,116 @@
 
 namespace concorde
 {
+
+namespace
+{
+
+/**
+ * The feature rows of `n` design points in caller order (n x dim floats):
+ * the shared assembly of predictCpiBatch and predictSweep.
+ *
+ * The points are sorted by their (d, i, branch) side keys, so that
+ * consecutive assembles share sides: within a run of equal dSideKey only
+ * the i-side/branch analyses change, so analyzeAll() re-analyzes just
+ * the side whose parameters actually differ. Runs of equal dSideKey
+ * share no ROB/LQ memo entries, so each is a unit of work. `lead` keeps
+ * every run whose first point's ROB run it already memoizes (a warm
+ * batch runs no model) and takes the largest cold run; the other cold
+ * runs are handed out largest first to up to `threads` workers (0 =
+ * hardware), the lead's worker included. The other workers assemble
+ * through worker-local providers over the lead's analysis, whose
+ * per-side latches make concurrent analyzeAll() calls build each side
+ * once, and `lead` absorbs their memos afterwards. Every memoized value is
+ * order-independent, so the rows match a per-point assemble bitwise for
+ * every `threads`.
+ */
+std::vector<float>
+assembleRuns(FeatureProvider &lead, const UarchParams *params, size_t n,
+             size_t threads)
+{
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         return std::make_tuple(params[a].memory.dSideKey(),
+                                                params[a].memory.iSideKey(),
+                                                params[a].branch.key())
+                             < std::make_tuple(params[b].memory.dSideKey(),
+                                               params[b].memory.iSideKey(),
+                                               params[b].branch.key());
+                     });
+
+    using Run = std::pair<size_t, size_t>;  // [begin, end) of order
+    std::vector<Run> lead_runs;
+    std::vector<Run> cold_runs;
+    for (size_t begin = 0; begin < n;) {
+        const UarchParams &first = params[order[begin]];
+        const uint32_t dkey = first.memory.dSideKey();
+        size_t end = begin + 1;
+        while (end < n && params[order[end]].memory.dSideKey() == dkey)
+            ++end;
+        (lead.hasRobRun(first.robSize, first.memory) ? lead_runs
+                                                     : cold_runs)
+            .emplace_back(begin, end);
+        begin = end;
+    }
+    std::stable_sort(cold_runs.begin(), cold_runs.end(),
+                     [](const Run &a, const Run &b) {
+                         return a.second - a.first > b.second - b.first;
+                     });
+    if (!cold_runs.empty()) {
+        lead_runs.push_back(cold_runs.front());
+        cold_runs.erase(cold_runs.begin());
+    }
+
+    // Worker 0 assembles through `lead`; workers write disjoint rows. A
+    // batch with no cold run beyond the lead's stays on this thread.
+    const size_t dim = lead.layout().dim();
+    std::vector<float> features(n * dim);
+    const size_t workers = std::min(
+        threads == 0 ? defaultThreads() : threads, 1 + cold_runs.size());
+    std::vector<std::unique_ptr<FeatureProvider>> locals(workers);
+    std::atomic<size_t> next_run{0};
+    parallelFor(workers, [&](size_t w) {
+        std::vector<float> row;
+        row.reserve(dim);
+        auto assemble_run = [&](FeatureProvider &provider, const Run &run) {
+            // With several workers, a run first builds its d-side alone:
+            // analyzeAll() would wait for another worker's sweep of the
+            // i-side and branch analyses the runs share before it built
+            // any side, while dside() runs alongside that sweep.
+            if (workers > 1)
+                provider.analysis().dside(params[order[run.first]].memory);
+            for (size_t k = run.first; k < run.second; ++k) {
+                const size_t idx = order[k];
+                row.clear();
+                provider.assemble(params[idx], row);
+                panic_if(row.size() != dim, "assembled %zu features, dim %zu",
+                         row.size(), dim);
+                std::copy(row.begin(), row.end(),
+                          features.begin() + idx * dim);
+            }
+        };
+        if (w == 0) {
+            for (const Run &run : lead_runs)
+                assemble_run(lead, run);
+        }
+        for (size_t r; (r = next_run.fetch_add(1)) < cold_runs.size();) {
+            if (w > 0 && !locals[w]) {
+                locals[w] = std::make_unique<FeatureProvider>(
+                    lead.analysisPtr(), lead.config());
+            }
+            assemble_run(w == 0 ? lead : *locals[w], cold_runs[r]);
+        }
+    }, workers);
+    for (auto &local : locals) {
+        if (local)
+            lead.absorb(std::move(*local));
+    }
+    return features;
+}
+
+} // anonymous namespace
 
 ConcordePredictor::ConcordePredictor(TrainedModel model,
                                      FeatureConfig feature_config)
@@ -48,15 +159,8 @@ ConcordePredictor::predictCpiBatch(FeatureProvider &provider,
 {
     if (n == 0)
         return {};
-    // Assembly is serial: the caller owns the provider and reads its
-    // memo afterwards, and one provider's caches are not thread-safe.
-    // Every analytical-model run is memoized, so a batch touches each
-    // (resource, value, memory-config) once.
-    std::vector<float> features;
-    features.reserve(n * trainedModel.inputDim());
-    for (size_t i = 0; i < n; ++i)
-        provider.assemble(params[i], features);
-    return predictCpiFromFeatures(features, n, threads);
+    return predictCpiFromFeatures(assembleRuns(provider, params, n, threads),
+                                  n, threads);
 }
 
 std::vector<double>
@@ -76,70 +180,9 @@ ConcordePredictor::predictSweep(const RegionSpec &region,
         return {};
     if (!store)
         store = &AnalysisStore::global();
-    const std::shared_ptr<RegionAnalysis> analysis = store->acquire(region);
-
-    // Group the design points by their per-side analysis keys so that
-    // consecutive assembles share sides: within a run of equal dSideKey
-    // only the i-side/branch analyses change, so analyzeAll() re-analyzes
-    // just the side whose parameters actually differ (and fuses whichever
-    // sides a new design point does introduce into one trace sweep).
-    // Every memoized value is order-independent, so scattering the rows
-    // back to caller order keeps the output bitwise identical.
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return std::make_tuple(params[a].memory.dSideKey(),
-                                                params[a].memory.iSideKey(),
-                                                params[a].branch.key())
-                             < std::make_tuple(params[b].memory.dSideKey(),
-                                               params[b].memory.iSideKey(),
-                                               params[b].branch.key());
-                     });
-
-    // Runs of equal dSideKey share no ROB/LQ memo entries, so each is a
-    // unit of work for its own provider. Largest first: the grid's base
-    // run (most points) starts at once while the rest spread over the
-    // remaining workers.
-    std::vector<std::pair<size_t, size_t>> runs;  // [begin, end) of order
-    for (size_t begin = 0; begin < n;) {
-        const uint32_t dkey = params[order[begin]].memory.dSideKey();
-        size_t end = begin + 1;
-        while (end < n && params[order[end]].memory.dSideKey() == dkey)
-            ++end;
-        runs.emplace_back(begin, end);
-        begin = end;
-    }
-    std::stable_sort(runs.begin(), runs.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second - a.first > b.second - b.first;
-                     });
-
-    // One provider per worker over the shared analysis, whose per-side
-    // latches make concurrent analyzeAll() calls build each side once.
-    // Workers write disjoint rows; a single run stays on this thread.
-    const size_t dim = featureLayout.dim();
-    std::vector<float> features(n * dim, 0.0f);
-    std::atomic<size_t> next_run{0};
-    const size_t workers =
-        std::min(threads == 0 ? defaultThreads() : threads, runs.size());
-    parallelFor(workers, [&](size_t) {
-        FeatureProvider provider(analysis, featureCfg);
-        std::vector<float> row;
-        row.reserve(dim);
-        for (size_t r; (r = next_run.fetch_add(1)) < runs.size();) {
-            for (size_t k = runs[r].first; k < runs[r].second; ++k) {
-                const size_t idx = order[k];
-                row.clear();
-                provider.assemble(params[idx], row);
-                panic_if(row.size() != dim, "assembled %zu features, dim %zu",
-                         row.size(), dim);
-                std::copy(row.begin(), row.end(),
-                          features.begin() + idx * dim);
-            }
-        }
-    }, workers);
-    return predictCpiFromFeatures(features, n, threads);
+    FeatureProvider lead(store->acquire(region), featureCfg);
+    return predictCpiFromFeatures(assembleRuns(lead, params, n, threads), n,
+                                  threads);
 }
 
 std::vector<double>

@@ -53,11 +53,17 @@ class ConcordePredictor
      * Batched prediction for one region across many design points: all
      * feature rows are assembled into one contiguous matrix, then
      * evaluated in a single thread-parallel blocked-GEMM pass. Matches
-     * predictCpi per element. Assembly stays serial, because the caller
-     * owns the provider and reads its memo afterwards.
+     * predictCpi per element, bitwise, for every `threads`. Assembly
+     * runs as predictSweep's does, with `provider` as the lead: it
+     * keeps every run of equal d-side config whose ROB run it already
+     * memoizes and takes the largest cold run, up to `threads` - 1
+     * worker-local providers over its analysis assemble the other cold
+     * runs, and `provider` absorbs their memos afterwards. So the
+     * caller's provider ends warm for every point of the batch, and a
+     * repeated batch runs no analytical model.
      *
      * @param params pointer to `n` design points
-     * @param threads worker threads for the MLP pass (0 = hardware)
+     * @param threads workers for assembly and the MLP pass (0 = hardware)
      */
     std::vector<double> predictCpiBatch(FeatureProvider &provider,
                                         const UarchParams *params, size_t n,
@@ -79,9 +85,10 @@ class ConcordePredictor
      * FeatureProvider over the one shared analysis (within a provider
      * each analytical-model run and encoded block is computed at most
      * once). A sweep with a single d-side run is assembled serially on
-     * the calling thread. Matches a per-config predictCpi(region, params)
-     * loop bitwise for every `threads`; the bench_sweep_dse gate pins the
-     * equality and the single-thread speedup.
+     * the calling thread. predictCpiBatch shares this assembly. Matches
+     * a per-config predictCpi(region, params) loop bitwise for every
+     * `threads`; the bench_sweep_dse gate pins the equality and the
+     * single-thread speedup.
      *
      * @param threads workers for assembly and the MLP pass (0 = hardware)
      * @param store analysis cache to share (default: the global store)

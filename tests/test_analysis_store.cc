@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "analysis/analysis_store.hh"
 #include "core/artifacts.hh"
 #include "core/dataset.hh"
+#include "core/shapley.hh"
 #include "pipeline/analysis_pipeline.hh"
 #include "sim/o3_core.hh"
 #include "trace/workloads.hh"
@@ -430,6 +432,119 @@ TEST(AnalysisStore, PredictSweepRobRunsMatchAcrossThreadCounts)
     EXPECT_EQ(predictor.predictSweep(small, points, 1, &store), small1);
     for (size_t i : {0, 13, 23})
         EXPECT_EQ(small1[i], predictor.predictCpi(small, points[i]));
+}
+
+// The design points of a batched Monte Carlo Shapley attribution from
+// ARM N1 to the big core over the Figure-16 components: the base plus
+// every prefix of every sampled order.
+std::vector<UarchParams>
+shapleyBatch(int permutations)
+{
+    std::vector<UarchParams> points;
+    ShapleyConfig config;
+    config.numPermutations = permutations;
+    const BatchEval capture = [&](const std::vector<UarchParams> &pts) {
+        points = pts;
+        return std::vector<double>(pts.size(), 1.0);
+    };
+    (void)shapleyAttribution(UarchParams::armN1(), UarchParams::bigCore(),
+                             attributionComponents(), capture, config);
+    return points;
+}
+
+std::set<uint32_t>
+dSideKeys(const std::vector<UarchParams> &points)
+{
+    std::set<uint32_t> keys;
+    for (const UarchParams &p : points)
+        keys.insert(p.memory.dSideKey());
+    return keys;
+}
+
+// predictCpiBatch assembles the d-side runs of a batch on `threads`
+// workers: the caller's provider and worker-local ones over its analysis.
+// Every worker count must give the bits of one-at-a-time predictCpi. The
+// 4-worker batch races on the analysis's per-side latches; the TSan
+// stage runs this suite.
+TEST(AnalysisStore, PredictCpiBatchIsThreadCountInvariant)
+{
+    AnalysisStore store;
+    const FeatureConfig cfg;
+    const ConcordePredictor predictor(artifacts::untrainedModel(cfg, 2033),
+                                      cfg);
+    const RegionSpec region = regionAt(20, 2, programIdByCode("S9"));
+
+    std::vector<UarchParams> points = shapleyBatch(8);
+    Rng rng(13);
+    for (int i = 0; i < 64; ++i)
+        points.push_back(UarchParams::sampleRandom(rng));
+    ASSERT_GE(dSideKeys(points).size(), 4u);
+
+    // One fresh provider per point, over one shared analysis.
+    std::vector<double> reference;
+    for (const UarchParams &p : points) {
+        FeatureProvider provider(store.acquire(region), cfg);
+        reference.push_back(predictor.predictCpi(provider, p));
+    }
+    for (size_t threads : {1, 2, 4, 0}) {
+        FeatureProvider provider(region, cfg);
+        EXPECT_EQ(predictor.predictCpiBatch(provider, points, threads),
+                  reference) << threads << " threads";
+    }
+}
+
+// The caller's provider absorbs the workers' memos: a repeated batch runs
+// no analytical model, and a batch that adds one d-side config runs the
+// models of that config only -- its ROB sizes and LQ sizes.
+TEST(AnalysisStore, PredictCpiBatchLeavesTheCallersProviderWarm)
+{
+    const FeatureConfig cfg;
+    const ConcordePredictor predictor(artifacts::untrainedModel(cfg, 2034),
+                                      cfg);
+    const RegionSpec region = regionAt(28, 2, programIdByCode("S5"));
+    const std::vector<UarchParams> points = shapleyBatch(8);
+    ASSERT_GE(dSideKeys(points).size(), 4u);
+
+    FeatureProvider provider(region, cfg);
+    const auto first = predictor.predictCpiBatch(provider, points, 4);
+    for (const UarchParams &p : points)
+        ASSERT_TRUE(provider.hasRobRun(p.robSize, p.memory));
+    const size_t runs = provider.modelRuns();
+    EXPECT_EQ(predictor.predictCpiBatch(provider, points, 4), first);
+    EXPECT_EQ(provider.modelRuns(), runs);
+
+    // N1 with an L1d size no point of the batch has: one new d-side
+    // config, every other side and bound already memoized.
+    const std::set<uint32_t> keys = dSideKeys(points);
+    UarchParams fresh = UarchParams::armN1();
+    for (int64_t kb : sweepValues(ParamId::L1dSize, /*quantized=*/false)) {
+        fresh.set(ParamId::L1dSize, kb);
+        if (!keys.count(fresh.memory.dSideKey()))
+            break;
+    }
+    ASSERT_FALSE(keys.count(fresh.memory.dSideKey()));
+    std::vector<UarchParams> extended = points;
+    std::set<int> rob_sizes(cfg.robSweep.begin(), cfg.robSweep.end());
+    rob_sizes.insert(cfg.latencyRobSizes.begin(), cfg.latencyRobSizes.end());
+    std::set<int> lq_sizes;
+    for (int rob : {64, 200}) {
+        for (int lq : {12, 40}) {
+            UarchParams p = fresh;
+            p.robSize = rob;
+            p.lqSize = lq;
+            extended.push_back(p);
+            rob_sizes.insert(rob);
+            lq_sizes.insert(lq);
+        }
+    }
+    const auto third = predictor.predictCpiBatch(provider, extended, 4);
+    EXPECT_EQ(provider.modelRuns(), runs + rob_sizes.size() + lq_sizes.size());
+    ASSERT_EQ(third.size(), extended.size());
+    for (size_t i = 0; i < extended.size(); ++i) {
+        const double expected = i < first.size()
+            ? first[i] : predictor.predictCpi(region, extended[i]);
+        EXPECT_EQ(third[i], expected) << "point " << i;
+    }
 }
 
 } // anonymous namespace

@@ -721,6 +721,28 @@ TEST(FeatureProvider, MemoizationAvoidsRecomputation)
     EXPECT_EQ(provider.modelRuns(), runs + 1);
 }
 
+// assemble() appends one row to the caller's matrix. Rows appended to a
+// vector the caller did not reserve must grow it geometrically, not
+// reallocate and copy the whole matrix on every row.
+TEST(FeatureProvider, UnreservedAppendsGrowGeometrically)
+{
+    RegionSpec spec{programIdByCode("S9"), 0, 0, 2};
+    FeatureProvider provider(spec);
+    const UarchParams n1 = UarchParams::armN1();
+    const size_t rows = 256;
+    const size_t dim = provider.layout().dim();
+    std::vector<float> out;
+    size_t capacity_changes = 0;
+    for (size_t r = 0; r < rows; ++r) {
+        const size_t before = out.capacity();
+        provider.assemble(n1, out);
+        capacity_changes += out.capacity() != before;
+    }
+    ASSERT_EQ(out.size(), rows * dim);
+    EXPECT_LE(static_cast<double>(capacity_changes),
+              2.0 * std::log2(static_cast<double>(rows * dim)) + 2.0);
+}
+
 TEST(FeatureProvider, MinBoundBelowComponentBounds)
 {
     RegionSpec spec{programIdByCode("S6"), 0, 2, 2};

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/serialize.hh"
+#include "common/thread_pool.hh"
 #include "core/artifacts.hh"
 #include "core/concorde.hh"
 #include "core/dataset.hh"
@@ -319,6 +320,29 @@ TEST(Artifacts, CachePathsKeyTheConfiguration)
               artifacts::modelPath("m", data, data.labels, train, &mask));
     EXPECT_NE(path,
               artifacts::modelPath("m", data, other_labels, train, nullptr));
+
+    const TaoConfig tao;
+    const std::vector<RegionSpec> regions = {{programIdByCode("S1"), 0, 4, 8},
+                                             {programIdByCode("S2"), 1, 0, 8}};
+    const std::string tao_path = artifacts::taoModelPath(tao, regions, {1, 2});
+    EXPECT_EQ(tao_path, artifacts::taoModelPath(tao, regions, {1, 2}));
+    EXPECT_NE(tao_path, artifacts::taoModelPath(tao, regions, {2, 1}));
+    std::vector<RegionSpec> moved = regions;
+    moved[1].startChunk = 1;
+    EXPECT_NE(tao_path, artifacts::taoModelPath(tao, moved, {1, 2}));
+    std::vector<TaoConfig> variants(8, tao);
+    variants[0].hidden += 1;
+    variants[1].seqLen += 1;
+    variants[2].windowsPerRegion += 1;
+    variants[3].learningRate *= 2;
+    variants[4].epochs += 1;
+    variants[5].batchSize += 1;
+    variants[6].seed += 1;
+    variants[7].threads = defaultThreads() + 1;
+    for (size_t v = 0; v < variants.size(); ++v) {
+        EXPECT_NE(tao_path, artifacts::taoModelPath(variants[v], regions,
+                                                    {1, 2})) << "field " << v;
+    }
 }
 
 } // anonymous namespace

@@ -105,7 +105,9 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
     # providers, one GEMM) must beat the naive per-config predictCpi
     # loop >= 3x on ONE thread (so the gate measures memoization, not
     # core count), and both the 1-thread and the default-thread sweep
-    # must give CPIs bitwise-identical to that loop.
+    # must give CPIs bitwise-identical to that loop. A cold Shapley-shaped
+    # predictCpiBatch at 1 and at the default thread count must match a
+    # per-point predictCpi loop bitwise (its rates are reported only).
     CONCORDE_SMOKE=1 CONCORDE_BENCH_JSON=BENCH_sweep.json \
         ./build/bench/bench_sweep_dse
 
