@@ -275,50 +275,68 @@ RegionAnalysis::analyzeAll(const MemoryConfig &config,
         return;
     }
 
-    // Latch only the sides still missing, so the missing subset is
-    // filled by one sweep while a ready side shared with another
-    // configuration's build never serializes the two. Every multi-latch
-    // holder takes them in d -> i -> b order, so none can deadlock.
+    // Take the latch of every missing side that no other thread is
+    // building and fill those sides with one sweep; only then wait for
+    // the sides another thread holds. Blocking on a held latch while
+    // holding one would make this thread's own side wait for the other
+    // thread's whole sweep (a d-side nobody else needs, say, behind a
+    // shared i-side another worker fuses with its own d-side). Nothing
+    // here blocks while holding a latch, so nothing can deadlock.
     std::unique_lock<std::mutex> d_lock(de.buildMtx, std::defer_lock);
     std::unique_lock<std::mutex> i_lock(ie.buildMtx, std::defer_lock);
     std::unique_lock<std::mutex> b_lock(be.buildMtx, std::defer_lock);
     if (!de.ready.load(std::memory_order_acquire))
-        d_lock.lock();
+        (void)d_lock.try_lock();
     if (!ie.ready.load(std::memory_order_acquire))
-        i_lock.lock();
+        (void)i_lock.try_lock();
     if (!be.ready.load(std::memory_order_acquire))
-        b_lock.lock();
+        (void)b_lock.try_lock();
     // Re-check under each latch: another builder may have finished the
-    // side while this one waited.
+    // side before this one took it.
     const bool want_d =
         d_lock.owns_lock() && !de.ready.load(std::memory_order_relaxed);
     const bool want_i =
         i_lock.owns_lock() && !ie.ready.load(std::memory_order_relaxed);
     const bool want_b =
         b_lock.owns_lock() && !be.ready.load(std::memory_order_relaxed);
-    if (!want_d && !want_i && !want_b)
-        return;
 
-    auto d = want_d ? std::make_unique<DSideAnalysis>() : nullptr;
-    auto i = want_i ? std::make_unique<ISideAnalysis>() : nullptr;
-    auto b = want_b ? std::make_unique<BranchAnalysis>() : nullptr;
-    buildFused(&config, d.get(), i.get(), &branch, b.get());
+    if (want_d || want_i || want_b) {
+        auto d = want_d ? std::make_unique<DSideAnalysis>() : nullptr;
+        auto i = want_i ? std::make_unique<ISideAnalysis>() : nullptr;
+        auto b = want_b ? std::make_unique<BranchAnalysis>() : nullptr;
+        buildFused(&config, d.get(), i.get(), &branch, b.get());
 
-    if (want_d) {
-        DSideAnalysis *raw = d.get();
-        de.value = std::move(d);
-        de.ready.store(raw, std::memory_order_release);
+        if (want_d) {
+            DSideAnalysis *raw = d.get();
+            de.value = std::move(d);
+            de.ready.store(raw, std::memory_order_release);
+        }
+        if (want_i) {
+            ISideAnalysis *raw = i.get();
+            ie.value = std::move(i);
+            ie.ready.store(raw, std::memory_order_release);
+        }
+        if (want_b) {
+            BranchAnalysis *raw = b.get();
+            be.value = std::move(b);
+            be.ready.store(raw, std::memory_order_release);
+        }
     }
-    if (want_i) {
-        ISideAnalysis *raw = i.get();
-        ie.value = std::move(i);
-        ie.ready.store(raw, std::memory_order_release);
-    }
-    if (want_b) {
-        BranchAnalysis *raw = b.get();
-        be.value = std::move(b);
-        be.ready.store(raw, std::memory_order_release);
-    }
+    if (d_lock.owns_lock())
+        d_lock.unlock();
+    if (i_lock.owns_lock())
+        i_lock.unlock();
+    if (b_lock.owns_lock())
+        b_lock.unlock();
+
+    // Wait for the sides another thread was building (or build one alone
+    // if its try_lock failed spuriously): each getter takes one latch.
+    if (!de.ready.load(std::memory_order_acquire))
+        (void)dside(config);
+    if (!ie.ready.load(std::memory_order_acquire))
+        (void)iside(config);
+    if (!be.ready.load(std::memory_order_acquire))
+        (void)branches(branch);
 }
 
 void

@@ -175,7 +175,9 @@ class RegionAnalysis
      * simultaneously -- bitwise-identical to running the three per-side
      * loops. Sides already memoized (e.g. a sweep config sharing its
      * d-side with a previous config) are not re-analyzed, which is what
-     * makes incremental sweep re-analysis cheap.
+     * makes incremental sweep re-analysis cheap. A side another thread
+     * is building is left out of the sweep and waited for after it, so
+     * this thread's own sides never wait behind that thread's sweep.
      */
     void analyzeAll(const MemoryConfig &config, const BranchConfig &branch);
 

@@ -538,22 +538,33 @@ FeatureProvider::absorb(FeatureProvider &&other)
 {
     panic_if(other.region != region,
              "absorbing a provider over another analysis");
-    panic_if(other.cfg.windowK != cfg.windowK
-             || other.cfg.numPercentiles != cfg.numPercentiles
-             || other.cfg.robSweep != cfg.robSweep
-             || other.cfg.latencyRobSizes != cfg.latencyRobSizes,
+    panic_if(featureConfigFingerprint(other.cfg)
+                 != featureConfigFingerprint(cfg),
              "absorbing a provider with another FeatureConfig");
 
-    // merge() splices only the nodes whose key is missing here.
+    // merge() splices only the nodes whose key is missing here. Each
+    // spliced entry of a table that counts model runs (ROB, LQ, SQ,
+    // i-fill, fetch buffer; the width and pipe bounds count none) adds
+    // one run: other's runs of a key this provider already holds were
+    // duplicate work, and counting them would make modelRuns() depend on
+    // which worker ran what.
+    size_t taken = robCache.size();
     robCache.merge(other.robCache);
-    const std::pair<BoundCache *, BoundCache *> bounds[] = {
+    taken = robCache.size() - taken;
+    const std::pair<BoundCache *, BoundCache *> counted[] = {
         {&lqCache, &other.lqCache}, {&sqCache, &other.sqCache},
-        {&ifillCache, &other.ifillCache}, {&fbufCache, &other.fbufCache},
+        {&ifillCache, &other.ifillCache}, {&fbufCache, &other.fbufCache}};
+    for (const auto &[mine, theirs] : counted) {
+        const size_t before = mine->size();
+        mine->merge(*theirs);
+        taken += mine->size() - before;
+    }
+    const std::pair<BoundCache *, BoundCache *> uncounted[] = {
         {&aluCache, &other.aluCache}, {&fpCache, &other.fpCache},
         {&lsCache, &other.lsCache},
         {&pipesLowerCache, &other.pipesLowerCache},
         {&pipesUpperCache, &other.pipesUpperCache}};
-    for (const auto &[mine, theirs] : bounds)
+    for (const auto &[mine, theirs] : uncounted)
         mine->merge(*theirs);
     estLoadLatSums.merge(other.estLoadLatSums);
     if (!haveCounts && other.haveCounts) {
@@ -563,8 +574,7 @@ FeatureProvider::absorb(FeatureProvider &&other)
     }
     if (encCountDists.empty())
         encCountDists.swap(other.encCountDists);
-    totalModelRuns += other.totalModelRuns;
-    other.totalModelRuns = 0;
+    totalModelRuns += taken;
 }
 
 size_t

@@ -189,10 +189,12 @@ class FeatureProvider
 
     /**
      * Move every memo of `other` -- a provider over the same analysis
-     * and FeatureConfig, e.g. a batch worker's -- into this one, and add
-     * its modelRuns(). On a key both hold, this provider's entry stays
-     * (the two are equal by construction); `other` keeps only those
-     * duplicates. Panics if the analysis or the config differs.
+     * and FeatureConfig, e.g. a batch worker's -- into this one. On a key
+     * both hold, this provider's entry stays (the two are equal by
+     * construction); `other` keeps only those duplicates. modelRuns()
+     * grows by one per model-run entry taken, not by other's count,
+     * so a batch split over workers counts what a serial batch would.
+     * Panics if the analysis or the config differs.
      */
     void absorb(FeatureProvider &&other);
 

@@ -31,7 +31,8 @@ namespace
  * hardware), the lead's worker included. The other workers assemble
  * through worker-local providers over the lead's analysis, whose
  * per-side latches make concurrent analyzeAll() calls build each side
- * once, and `lead` absorbs their memos afterwards. Every memoized value is
+ * once without one worker's d-side waiting behind another's sweep, and
+ * `lead` absorbs their memos afterwards. Every memoized value is
  * order-independent, so the rows match a per-point assemble bitwise for
  * every `threads`.
  */
@@ -86,12 +87,6 @@ assembleRuns(FeatureProvider &lead, const UarchParams *params, size_t n,
         std::vector<float> row;
         row.reserve(dim);
         auto assemble_run = [&](FeatureProvider &provider, const Run &run) {
-            // With several workers, a run first builds its d-side alone:
-            // analyzeAll() would wait for another worker's sweep of the
-            // i-side and branch analyses the runs share before it built
-            // any side, while dside() runs alongside that sweep.
-            if (workers > 1)
-                provider.analysis().dside(params[order[run.first]].memory);
             for (size_t k = run.first; k < run.second; ++k) {
                 const size_t idx = order[k];
                 row.clear();

@@ -198,45 +198,58 @@ TEST(AnalysisStore, ConcurrentSameKeyHammerAnalyzesOnce)
     EXPECT_EQ(got[0]->numBranchAnalyses(), 1u);
 }
 
-// analyzeAll latches only the sides still missing: configs that differ
-// in the d-side but share a ready i-side and branch analysis build their
-// d-sides concurrently, each exactly once and bitwise equal to a fresh
+// analyzeAll latches only the sides still missing and no other thread
+// holds, and waits for the rest after its own sweep, so it returns with
+// every side ready: configs that differ in the d-side but share an
+// i-side and branch analysis -- ready beforehand, or missing and raced
+// for -- build every side exactly once, bitwise equal to a fresh
 // per-side build.
 TEST(AnalysisStore, ConcurrentAnalyzeAllBuildsOnlyMissingSidesOnce)
 {
-    const RegionSpec region = regionAt(48);
-    RegionAnalysis shared(region);
     const BranchConfig branch = UarchParams::armN1().branch;
-    shared.analyzeAll(MemoryConfig{}, branch);
-
     const std::vector<uint32_t> l1d_kb = {16, 32, 64, 128};
-    constexpr int kThreads = 8;
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            ++ready;
-            while (ready.load() < kThreads)
-                std::this_thread::yield();
-            MemoryConfig mem;
-            mem.l1dKb = l1d_kb[t % l1d_kb.size()];
-            shared.analyzeAll(mem, branch);
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
+    for (bool shared_sides_ready : {true, false}) {
+        SCOPED_TRACE(shared_sides_ready ? "shared sides ready"
+                                        : "shared sides missing");
+        const RegionSpec region = regionAt(shared_sides_ready ? 48 : 50);
+        RegionAnalysis shared(region);
+        if (shared_sides_ready)
+            shared.analyzeAll(MemoryConfig{}, branch);
 
-    EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
-    EXPECT_EQ(shared.numIsideAnalyses(), 1u);
-    EXPECT_EQ(shared.numBranchAnalyses(), 1u);
-    for (uint32_t kb : l1d_kb) {
-        MemoryConfig mem;
-        mem.l1dKb = kb;
+        constexpr int kThreads = 8;
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                ++ready;
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                MemoryConfig mem;
+                mem.l1dKb = l1d_kb[t % l1d_kb.size()];
+                shared.analyzeAll(mem, branch);
+                EXPECT_EQ(shared.numIsideAnalyses(), 1u);
+                EXPECT_EQ(shared.numBranchAnalyses(), 1u);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+
+        EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
         RegionAnalysis fresh(region);
-        EXPECT_EQ(shared.dside(mem).execLat, fresh.dside(mem).execLat)
-            << kb << " KB L1d";
+        for (uint32_t kb : l1d_kb) {
+            MemoryConfig mem;
+            mem.l1dKb = kb;
+            EXPECT_EQ(shared.dside(mem).execLat, fresh.dside(mem).execLat)
+                << kb << " KB L1d";
+        }
+        EXPECT_EQ(shared.iside(MemoryConfig{}).lineLat,
+                  fresh.iside(MemoryConfig{}).lineLat);
+        EXPECT_EQ(shared.branches(branch).mispredict,
+                  fresh.branches(branch).mispredict);
+        EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
+        EXPECT_EQ(shared.numIsideAnalyses(), 1u);
+        EXPECT_EQ(shared.numBranchAnalyses(), 1u);
     }
-    EXPECT_EQ(shared.numDsideAnalyses(), l1d_kb.size());
 }
 
 /**
@@ -486,11 +499,19 @@ TEST(AnalysisStore, PredictCpiBatchIsThreadCountInvariant)
         FeatureProvider provider(store.acquire(region), cfg);
         reference.push_back(predictor.predictCpi(provider, p));
     }
+    // The caller's provider counts each memoized model run once, however
+    // the runs were split: as many as a serial batch.
+    size_t serial_runs = 0;
     for (size_t threads : {1, 2, 4, 0}) {
         FeatureProvider provider(region, cfg);
         EXPECT_EQ(predictor.predictCpiBatch(provider, points, threads),
                   reference) << threads << " threads";
+        if (threads == 1)
+            serial_runs = provider.modelRuns();
+        EXPECT_EQ(provider.modelRuns(), serial_runs)
+            << threads << " threads";
     }
+    EXPECT_GT(serial_runs, 0u);
 }
 
 // The caller's provider absorbs the workers' memos: a repeated batch runs
