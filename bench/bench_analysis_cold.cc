@@ -15,8 +15,11 @@
  *
  * Both run through AnalyzerCarryState with the same branch seed, so the
  * outputs must be bitwise identical. Trace generation, the AoS
- * materialization, and analyzer construction happen off the clock; only
- * the sweeps are timed.
+ * materialization, and analyzer construction happen off the sweeps'
+ * clock; only the sweeps are timed there.
+ *
+ * Trace generation has its own clock: the same warmup + region traces
+ * regenerated into reused buffers (gen_minstr_s, reported only).
  *
  * Gates (exit 1 on failure; margins are 1-core-VM safe):
  *   - fused analyses bitwise-identical to the per-side passes
@@ -49,6 +52,8 @@ namespace
 {
 
 constexpr int kReps = 3;
+/** Generation is cheap and noisier: best of more reps. */
+constexpr int kGenReps = 10;
 constexpr uint64_t kStartChunk = 16;
 constexpr uint32_t kRegionChunks = 2;
 constexpr size_t kNumRegions = 12;
@@ -188,6 +193,32 @@ main()
         }
     }
 
+    // Trace generation, timed apart from the sweeps: every warmup and
+    // region trace above, regenerated into buffers reused across reps.
+    double gen_s = 1e30;
+    uint64_t gen_instructions = 0;
+    {
+        GenScratch scratch;
+        TraceColumns cols;
+        for (int rep = 0; rep < kGenReps; ++rep) {
+            gen_instructions = 0;
+            Stopwatch gen_timer;
+            for (const BenchRegion &r : regions) {
+                const ProgramModel &model = programModel(r.spec.programId);
+                RegionSpec warm = r.spec;
+                warm.startChunk = r.spec.startChunk - kDefaultWarmupChunks;
+                warm.numChunks = kDefaultWarmupChunks;
+                model.generateRegion(warm, cols, scratch);
+                gen_instructions += cols.size();
+                model.generateRegion(r.spec, cols, scratch);
+                gen_instructions += cols.size();
+            }
+            gen_s = std::min(gen_s, gen_timer.seconds());
+        }
+    }
+    const double gen_rate =
+        static_cast<double>(gen_instructions) / 1e6 / gen_s;
+
     const double legacy_rate = minstr / legacy_s;
     const double fused_rate = minstr / fused_s;
     const double speedup = legacy_s / fused_s;
@@ -196,6 +227,8 @@ main()
     std::printf("  fused columnar sweep:    %8.2f Minstr/s  (%.2fx, "
                 "%.4fs)\n", fused_rate, speedup, fused_s);
     std::printf("  max |legacy - fused|:    %.2e\n", max_diff);
+    std::printf("  trace generation:        %8.2f Minstr/s  (%.4fs)\n",
+                gen_rate, gen_s);
 
     bool pass = true;
     if (max_diff != 0.0) {
@@ -219,6 +252,7 @@ main()
         json.field("legacy_minstr_s", "%.3f", legacy_rate);
         json.field("fused_minstr_s", "%.3f", fused_rate);
         json.field("fused_speedup", "%.3f", speedup);
+        json.field("gen_minstr_s", "%.3f", gen_rate);
         json.field("max_abs_diff", "%.3e", max_diff);
         json.flag("gate_pass", pass);
     }

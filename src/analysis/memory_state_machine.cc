@@ -1,7 +1,7 @@
 #include "analysis/memory_state_machine.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -15,31 +15,55 @@ LoadLineIndex::build(const TraceColumns &region)
     LoadLineIndex index;
     index.lineIdOf.assign(n, -1);
 
-    std::unordered_map<uint64_t, uint32_t> dense;
-    dense.reserve(n / 4);
-    std::vector<uint32_t> counts;
+    // The loads' positions, gathered without a branch per instruction;
+    // both passes below walk only these.
+    std::vector<uint32_t> load_at(n);
+    size_t loads = 0;
     for (size_t i = 0; i < n; ++i) {
-        if (!region.isLoad(i))
-            continue;
-        auto [it, inserted] = dense.try_emplace(
-            region.dataLine(i), static_cast<uint32_t>(dense.size()));
-        if (inserted)
-            counts.push_back(0);
-        index.lineIdOf[i] = static_cast<int32_t>(it->second);
-        ++counts[it->second];
+        load_at[loads] = static_cast<uint32_t>(i);
+        loads += region.isLoad(i);
     }
-    index.numLines = static_cast<uint32_t>(dense.size());
+
+    // Dense ids in first-seen order, found through an open-addressing
+    // table of (line, id) at most half full.
+    size_t slots = 64;
+    while (slots < 2 * loads)
+        slots *= 2;
+    constexpr uint64_t kEmpty = ~uint64_t{0};   // no line index is this
+    std::vector<uint64_t> table_lines(slots, kEmpty);
+    std::vector<uint32_t> table_ids(slots);
+    const int shift = 64 - __builtin_ctzll(slots);
+
+    std::vector<uint32_t> counts;
+    counts.reserve(loads);
+    for (size_t k = 0; k < loads; ++k) {
+        const uint32_t i = load_at[k];
+        const uint64_t line = region.dataLine(i);
+        size_t at = static_cast<size_t>(
+            (line * 0x9e3779b97f4a7c15ULL) >> shift);
+        while (table_lines[at] != line && table_lines[at] != kEmpty)
+            at = (at + 1) & (slots - 1);
+        if (table_lines[at] == kEmpty) {
+            table_lines[at] = line;
+            table_ids[at] = static_cast<uint32_t>(counts.size());
+            counts.push_back(0);
+        }
+        const uint32_t id = table_ids[at];
+        index.lineIdOf[i] = static_cast<int32_t>(id);
+        ++counts[id];
+    }
+    index.numLines = static_cast<uint32_t>(counts.size());
 
     index.lineStart.assign(index.numLines + 1, 0);
     for (uint32_t l = 0; l < index.numLines; ++l)
         index.lineStart[l + 1] = index.lineStart[l] + counts[l];
-    index.loadList.resize(index.lineStart[index.numLines]);
-    std::vector<uint32_t> cursor(index.lineStart.begin(),
-                                 index.lineStart.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-        const int32_t lid = index.lineIdOf[i];
-        if (lid >= 0)
-            index.loadList[cursor[lid]++] = static_cast<uint32_t>(i);
+    index.loadList.resize(loads);
+    // counts becomes each line's fill cursor.
+    for (uint32_t l = 0; l < index.numLines; ++l)
+        counts[l] = index.lineStart[l];
+    for (size_t k = 0; k < loads; ++k) {
+        const uint32_t i = load_at[k];
+        index.loadList[counts[index.lineIdOf[i]]++] = i;
     }
     return index;
 }

@@ -161,6 +161,13 @@ class RegionAnalysis
 
     const LoadLineIndex &loadIndex() const { return loadLineIndex; }
 
+    /**
+     * Move the region's trace out, for a caller that is done with this
+     * analysis and recycles the trace's buffers. Nothing may read the
+     * analysis afterwards.
+     */
+    TraceColumns releaseRegionColumns() { return std::move(region); }
+
     /** In-order D-cache simulation (memoized per d-side config). */
     const DSideAnalysis &dside(const MemoryConfig &config);
     /** In-order I-cache simulation (memoized per i-side config). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -37,6 +38,83 @@ void
 sortSamples(std::vector<double> &xs)
 {
     std::sort(xs.begin(), xs.end());
+}
+
+double
+addRepeated(double total, double value, uint64_t count)
+{
+    // Below this many adds the plain loop is cheaper than the bit
+    // arithmetic of one exact step (latency-like runs of ~20 adds per
+    // value: 16 us per 16k samples looped, 6 us with this cutoff, 12 us
+    // with a cutoff of 64).
+    constexpr uint64_t kLoopBelow = 8;
+    constexpr uint64_t kHidden = uint64_t{1} << 52;
+    constexpr uint64_t kFraction = kHidden - 1;
+    constexpr uint64_t kBinadeTop = 2 * kHidden - 1;
+    if (count < kLoopBelow) {
+        for (uint64_t c = 0; c < count; ++c)
+            total += value;
+        return total;
+    }
+
+    uint64_t value_bits;
+    std::memcpy(&value_bits, &value, sizeof value_bits);
+    // Sign and exponent together: positive normals only.
+    const uint64_t value_exp = value_bits >> 52;
+    const uint64_t value_sig = (value_bits & kFraction) | kHidden;
+    while (count > 0) {
+        uint64_t total_bits;
+        std::memcpy(&total_bits, &total, sizeof total_bits);
+        const uint64_t total_exp = total_bits >> 52;
+        if (value_exp == 0 || value_exp >= 0x7ff || total_exp == 0
+            || total_exp >= 0x7ff || value_exp > total_exp) {
+            // A zero, subnormal, negative or non-finite operand, or a
+            // value past the total's binade: one plain add.
+            total += value;
+            --count;
+            continue;
+        }
+        // In units of the total's ulp the total is an integer sig in
+        // [2^52, 2^53) and the value is q + rem / 2^shift. While the sum
+        // stays below 2^53 units, every add rounds to nearest the same
+        // way, so it advances sig by the same step.
+        const uint64_t total_sig = (total_bits & kFraction) | kHidden;
+        const uint64_t shift = total_exp - value_exp;
+        if (shift > 53) {
+            // value < half an ulp: no add moves the total.
+            return total;
+        }
+        uint64_t step = value_sig >> shift;
+        if (shift > 0) {
+            const uint64_t rem = value_sig & ((uint64_t{1} << shift) - 1);
+            const uint64_t half = uint64_t{1} << (shift - 1);
+            if (rem == half) {
+                // A tie rounds to even, which depends on the parity of
+                // the sum: one plain add.
+                total += value;
+                --count;
+                continue;
+            }
+            step += rem > half ? 1 : 0;
+        }
+        if (step == 0)
+            return total;
+        const uint64_t room = kBinadeTop - total_sig;
+        const uint64_t adds =
+            static_cast<unsigned __int128>(count) * step <= room
+            ? count : room / step;
+        if (adds == 0) {
+            // The next add leaves the binade.
+            total += value;
+            --count;
+            continue;
+        }
+        total_bits = (total_exp << 52)
+            | ((total_sig + adds * step) & kFraction);
+        std::memcpy(&total, &total_bits, sizeof total);
+        count -= adds;
+    }
+    return total;
 }
 
 void
@@ -208,19 +286,18 @@ DistributionEncoder::encodeHistogramLog1p(IntegerHistogram &hist,
         return;
 
     // Distinct values ascending, each with the running sum at its last
-    // sample: adding a value `count` times in a row is exactly
-    // encodeSorted()'s per-element loop. log1p(0) is +0.0, and adding
-    // +0.0 to a non-negative sum leaves it unchanged, so the zero
-    // samples are skipped.
-    std::vector<ValueRun> runs;
+    // sample: adding a value `count` times in a row (addRepeated) is
+    // exactly encodeSorted()'s per-element loop. log1p(0) is +0.0, and
+    // adding +0.0 to a non-negative sum leaves it unchanged, so the
+    // zero samples are skipped.
+    thread_local std::vector<ValueRun> runs;
+    runs.clear();
     double total = 0.0;
     uint64_t rank = 0;
     auto push = [&](double value, uint64_t count) {
         rank += count;
-        if (value != 0.0) {
-            for (uint64_t c = 0; c < count; ++c)
-                total += value;
-        }
+        if (value != 0.0)
+            total = addRepeated(total, value, count);
         runs.push_back(ValueRun{value, rank, total});
     };
     const std::vector<double> &table = log1pTable();

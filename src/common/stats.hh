@@ -30,6 +30,13 @@ double percentile(const std::vector<double> &sorted_xs, double q);
 void sortSamples(std::vector<double> &xs);
 
 /**
+ * `total` after `count` successive `total += value`, bitwise equal to
+ * that loop. Long runs of a positive value onto a positive total are
+ * summed exactly in O(binades crossed) steps instead of one add each.
+ */
+double addRepeated(double total, double value, uint64_t count);
+
+/**
  * A multiset of non-negative integer samples held as counts: one count
  * per value below kDenseCap, and the samples at or above it as a list.
  * The ROB model counts its per-instruction stage latencies into these

@@ -71,23 +71,57 @@ AnalysisPipeline::AnalysisPipeline(const ModelArtifact &artifact,
 {
 }
 
+TraceColumns
+AnalysisPipeline::takeSpareColumns()
+{
+    std::lock_guard<std::mutex> lock(spareMtx);
+    if (spareColumns.empty())
+        return TraceColumns{};
+    TraceColumns cols = std::move(spareColumns.back());
+    spareColumns.pop_back();
+    return cols;
+}
+
 void
-AnalysisPipeline::stitch(
-    const TraceSpan &span, const std::vector<RegionSpec> &regions,
-    const UarchParams &params,
-    std::vector<std::unique_ptr<FeatureProvider>> &providers,
-    const std::function<void(size_t)> &ready)
+AnalysisPipeline::giveSpareColumns(TraceColumns cols)
+{
+    std::lock_guard<std::mutex> lock(spareMtx);
+    if (spareColumns.size() < kMaxSpareColumns)
+        spareColumns.push_back(std::move(cols));
+}
+
+void
+AnalysisPipeline::stitch(const TraceSpan &span,
+                         const std::vector<RegionSpec> &regions,
+                         const UarchParams &params,
+                         std::vector<StitchedRegion> &stitched,
+                         const std::function<void(size_t)> &ready)
 {
     // The sequential stitch pass: one carried hierarchy/predictor state
     // walks the span in trace order, so every instruction is analyzed
     // exactly once and the per-shard results concatenate to one unsplit
-    // pass.
+    // pass. Only this walk is serial; a region's trace is a pure
+    // function of its spec. So the pool, which has nothing to featurize
+    // before region 0 is stitched, generates the first regions while
+    // this thread generates and replays the warmup.
     const ProgramModel &model = programModel(span.programId);
+    std::vector<std::future<void>> ahead;
+    if (pool) {
+        const size_t count = std::min(regions.size(), kGenerateAhead);
+        for (size_t i = 0; i < count; ++i) {
+            ahead.push_back(pool->submit([this, &model, &regions,
+                                          &stitched, i] {
+                GenScratch scratch;
+                stitched[i].cols = takeSpareColumns();
+                model.generateRegion(regions[i], stitched[i].cols, scratch);
+            }));
+        }
+    }
+
     AnalyzerCarryState carry(
         params.memory, params.branch,
         branchSeedFor(span.programId, span.traceId, span.startChunk));
     GenScratch gen_scratch;
-    TraceColumns cols;
     if (cfg.warmupChunks > 0) {
         // Same warmup rule as RegionAnalysis, applied to the whole span:
         // the chunks immediately preceding it (falling back to replaying
@@ -98,21 +132,21 @@ AnalysisPipeline::stitch(
         warm.numChunks = cfg.warmupChunks;
         warm.startChunk = span.startChunk >= cfg.warmupChunks
             ? span.startChunk - cfg.warmupChunks : span.startChunk;
-        model.generateRegion(warm, cols, gen_scratch);
-        carry.warm(cols);
+        TraceColumns warm_cols = takeSpareColumns();
+        model.generateRegion(warm, warm_cols, gen_scratch);
+        carry.warm(warm_cols);
+        giveSpareColumns(std::move(warm_cols));
     }
 
     for (size_t i = 0; i < regions.size(); ++i) {
-        model.generateRegion(regions[i], cols, gen_scratch);
-        ShardAnalyses shard = carry.analyzeShard(cols);
-
-        RegionAnalysis analysis(regions[i], std::move(cols));
-        cols = TraceColumns{};
-        analysis.adoptDside(params.memory, std::move(shard.dside));
-        analysis.adoptIside(params.memory, std::move(shard.iside));
-        analysis.adoptBranches(params.branch, std::move(shard.branches));
-        providers[i] = std::make_unique<FeatureProvider>(
-            std::move(analysis), pred.featureConfig());
+        StitchedRegion &shard = stitched[i];
+        if (i < ahead.size()) {
+            ahead[i].get();
+        } else {
+            shard.cols = takeSpareColumns();
+            model.generateRegion(regions[i], shard.cols, gen_scratch);
+        }
+        shard.analyses = carry.analyzeShard(shard.cols);
         if (ready)
             ready(i);
     }
@@ -131,27 +165,39 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         return res;
     }
 
-    // Featurize every shard into one row-major matrix. A carried
-    // provider is dropped as soon as its row is out: it is
-    // span-specific, never cached, and nothing reads it again.
-    // Independent-state providers are built inside the task, so their
-    // trace analysis (and warmup replay) fans out with the
-    // featurization.
-    std::vector<std::unique_ptr<FeatureProvider>> providers(n);
+    // Featurize every shard into one row-major matrix. Every provider
+    // is built inside the task, so that work fans out with the
+    // featurization: a carried one from its region's stitched trace and
+    // analyses, an Independent-state one with its own trace analysis
+    // (and warmup replay). A carried provider is dropped as soon as its
+    // row is out: it is span-specific, never cached, and nothing reads
+    // it again.
+    std::vector<StitchedRegion> stitched(
+        cfg.state == StateMode::Carry ? n : 0);
     std::vector<float> rows(n * res.featureDim, 0.0f);
     auto featurize = [&](size_t i) {
-        std::unique_ptr<FeatureProvider> provider = std::move(providers[i]);
-        if (!provider) {
+        std::unique_ptr<FeatureProvider> provider;
+        if (cfg.state == StateMode::Carry) {
+            StitchedRegion &shard = stitched[i];
+            RegionAnalysis analysis(res.regions[i], std::move(shard.cols));
+            analysis.adoptDside(params.memory,
+                                std::move(shard.analyses.dside));
+            analysis.adoptIside(params.memory,
+                                std::move(shard.analyses.iside));
+            analysis.adoptBranches(params.branch,
+                                   std::move(shard.analyses.branches));
+            provider = std::make_unique<FeatureProvider>(
+                std::move(analysis), pred.featureConfig());
+        } else if (cfg.analysisStore) {
             // Independent-state analyses are the store's convention;
             // share them when a store is configured.
-            provider = cfg.analysisStore
-                ? std::make_unique<FeatureProvider>(
-                      cfg.analysisStore->acquire(res.regions[i],
-                                                 cfg.warmupChunks),
-                      pred.featureConfig())
-                : std::make_unique<FeatureProvider>(
-                      res.regions[i], pred.featureConfig(),
-                      cfg.warmupChunks);
+            provider = std::make_unique<FeatureProvider>(
+                cfg.analysisStore->acquire(res.regions[i],
+                                           cfg.warmupChunks),
+                pred.featureConfig());
+        } else {
+            provider = std::make_unique<FeatureProvider>(
+                res.regions[i], pred.featureConfig(), cfg.warmupChunks);
         }
         std::vector<float> row;
         row.reserve(res.featureDim);
@@ -161,12 +207,14 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
                  res.featureDim);
         std::copy(row.begin(), row.end(),
                   rows.begin() + i * res.featureDim);
+        if (cfg.state == StateMode::Carry)
+            giveSpareColumns(provider->analysis().releaseRegionColumns());
     };
 
     if (cfg.mode == ExecMode::Scalar) {
         if (cfg.state == StateMode::Carry) {
             Stopwatch analyze_timer;
-            stitch(span, res.regions, params, providers, {});
+            stitch(span, res.regions, params, stitched, {});
             res.analyzeSeconds = analyze_timer.seconds();
         }
         Stopwatch feature_timer;
@@ -196,8 +244,8 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
                 future.get();
         } else {
             // Overlap the stitch pass with featurization: region i goes
-            // to the pool as soon as its provider exists, while this
-            // thread stitches region i + 1. After the stitch this thread
+            // to the pool as soon as it is stitched, while this thread
+            // stitches region i + 1. After the stitch this thread
             // featurizes whatever no worker has claimed, newest first
             // (its trace is the one still in this core's cache). Each
             // region is claimed exactly once.
@@ -207,7 +255,7 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
                     featurize(i);
             };
             Stopwatch analyze_timer;
-            stitch(span, res.regions, params, providers, [&](size_t i) {
+            stitch(span, res.regions, params, stitched, [&](size_t i) {
                 if (pool)
                     futures.push_back(pool->submit([&claim, i] {
                         claim(i);

@@ -26,8 +26,15 @@
  *                       reproduces one unsplit pass over the span; each
  *                       instruction is analyzed exactly once, instead
  *                       of once per region plus once per overlapping
- *                       warmup replay. Sharded, the pool featurizes
- *                       region i while the caller stitches region i+1.
+ *                       warmup replay. The stitch keeps only the serial
+ *                       work -- generate a region's trace, run the
+ *                       carried sweep over it -- and hands the trace and
+ *                       its analyses on; featurization builds the
+ *                       region's RegionAnalysis (its load-line index)
+ *                       and provider. Sharded, the pool featurizes
+ *                       region i while the caller stitches region i+1,
+ *                       and generates the first regions' traces while
+ *                       the caller replays the warmup.
  *
  * For a fixed StateMode, Scalar and Sharded produce bitwise-identical
  * per-region CPIs (gated by bench_pipeline_e2e and the golden corpus).
@@ -39,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "analysis/analysis_store.hh"
@@ -98,11 +106,15 @@ struct PipelineResult
 
     /**
      * Wall-clock phase times; they never sum past totalSeconds.
-     * Sharded+Carry overlaps featurization with the stitch, so there
-     * featureSeconds is only the featurization tail after it.
+     * analyzeSeconds is the Carry stitch pass -- trace generation and
+     * the carried sweep -- and 0 otherwise. featureSeconds is the
+     * featurization after the stitch; under Carry it includes building
+     * each region's RegionAnalysis and provider. Sharded+Carry overlaps
+     * featurization with the stitch, so there featureSeconds is only
+     * the featurization tail after it.
      */
-    double analyzeSeconds = 0.0;    ///< the stitch pass (Carry; else 0)
-    double featureSeconds = 0.0;    ///< featurization after the stitch
+    double analyzeSeconds = 0.0;
+    double featureSeconds = 0.0;
     double inferSeconds = 0.0;      ///< MLP pass
     double totalSeconds = 0.0;
 };
@@ -136,16 +148,36 @@ class AnalysisPipeline
     PipelineResult run(const TraceSpan &span, const UarchParams &params);
 
   private:
+    /** One region as the Carry stitch leaves it for featurization. */
+    struct StitchedRegion
+    {
+        TraceColumns cols;
+        ShardAnalyses analyses;     ///< carried-state d/i/branch sides
+    };
+
     /**
-     * The Carry stitch pass on the calling thread: fills providers[i]
-     * in region order and calls ready(i) (when set) as soon as region
-     * i's provider exists.
+     * Regions whose traces the pool generates while the caller replays
+     * the warmup (the pool has nothing to featurize yet). Kept small:
+     * each is a region trace held before its sweep.
+     */
+    static constexpr size_t kGenerateAhead = 2;
+
+    /**
+     * The Carry stitch pass on the calling thread: generates each
+     * region's trace and runs the carried sweep over it, fills
+     * stitched[i] in region order, and calls ready(i) (when set) as
+     * soon as region i is stitched. Building the region's
+     * RegionAnalysis and provider is left to featurization.
      */
     void stitch(const TraceSpan &span,
                 const std::vector<RegionSpec> &regions,
                 const UarchParams &params,
-                std::vector<std::unique_ptr<FeatureProvider>> &providers,
+                std::vector<StitchedRegion> &stitched,
                 const std::function<void(size_t)> &ready);
+
+    /** A spent region trace's buffers, or empty columns if none. */
+    TraceColumns takeSpareColumns();
+    void giveSpareColumns(TraceColumns cols);
 
     /** Set by the artifact ctor; declared before `pred` so the reference
      *  can bind to it during construction. */
@@ -153,6 +185,15 @@ class AnalysisPipeline
     const ConcordePredictor &pred;
     const PipelineConfig cfg;
     std::unique_ptr<ThreadPool> pool;   ///< Sharded mode only; see threads
+
+    /**
+     * Carry: region traces whose rows are out, handed back so the next
+     * stitch generates into their buffers instead of fresh allocations.
+     * At most kMaxSpareColumns are kept; further ones are freed.
+     */
+    static constexpr size_t kMaxSpareColumns = 16;
+    std::mutex spareMtx;
+    std::vector<TraceColumns> spareColumns;
 };
 
 } // namespace pipeline

@@ -53,12 +53,18 @@ struct ChunkState
 } // anonymous namespace
 
 ProgramModel::ProgramModel(WorkloadProfile profile, uint64_t seed_in)
-    : prof(std::move(profile)), seed(seed_in)
+    : prof(std::move(profile)), seed(seed_in),
+      depDistance(prof.depMeanDist), branchDistance(3.0),
+      indirectLaw(std::max(1, prof.indirectTargets), prof.indirectZipf)
 {
     fatal_if(prof.phases.empty(), "workload '%s' has no phases",
              prof.name.c_str());
     fatal_if(prof.numBlocks < 4, "workload '%s': need >= 4 blocks",
              prof.name.c_str());
+    for (const PhaseProfile &phase : prof.phases) {
+        wsLaws.emplace_back(std::max<uint64_t>(1, phase.wsBytes / 64),
+                            phase.wsZipf);
+    }
     buildStaticTables();
 }
 
@@ -200,8 +206,9 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                             TraceColumns &out, int64_t base,
                             GenScratch &scratch) const
 {
-    out.reserve(out.size() + kChunkLen);
-    const PhaseProfile &phase = prof.phases[phaseOf(chunk_index)];
+    const size_t phase_ix = phaseOf(chunk_index);
+    const PhaseProfile &phase = prof.phases[phase_ix];
+    const ZipfLaw &ws_law = wsLaws[phase_ix];
     Rng rng(hashMix(seed, static_cast<uint64_t>(trace_id) + 1,
                     chunk_index + 0x5eedULL));
 
@@ -230,6 +237,21 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
     }
     const uint32_t epoch = scratch.epoch;
 
+    // The chunk's entries start as Instruction{} and each instruction
+    // writes only the fields it sets, straight into the columns.
+    const size_t first = out.size();
+    out.resize(first + kChunkLen);
+    uint64_t *const pc_col = out.pc.data() + first;
+    uint64_t *const addr_col = out.memAddr.data() + first;
+    uint64_t *const line_col = out.instLine.data() + first;
+    int32_t *const dep0_col = out.srcDep0.data() + first;
+    int32_t *const dep1_col = out.srcDep1.data() + first;
+    int32_t *const mem_dep_col = out.memDep.data() + first;
+    InstrType *const type_col = out.type.data() + first;
+    BranchKind *const kind_col = out.branchKind.data() + first;
+    uint8_t *const taken_col = out.taken.data() + first;
+    uint16_t *const target_col = out.targetId.data() + first;
+
     ChunkState st;
     st.curBlock = static_cast<uint32_t>(rng.nextBounded(prof.numBlocks));
     st.chaseState = rng.next();
@@ -242,11 +264,11 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
         ++st.numProducers;
     };
 
-    auto pick_producer = [&](double mean_dist) -> int32_t {
+    auto pick_producer = [&](const GeometricLaw &distance) -> int32_t {
         if (st.numProducers == 0)
             return -1;
         const uint64_t avail = std::min(st.numProducers, kProducerRing);
-        uint64_t dist = rng.nextGeometric(mean_dist);
+        uint64_t dist = distance.draw(rng);
         if (dist > avail)
             dist = avail;
         const size_t slot = (st.numProducers - dist) % kProducerRing;
@@ -256,7 +278,7 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
     auto random_ws_line = [&](uint64_t salt) -> uint64_t {
         // Zipf rank -> stable pseudo-random permutation of WS lines so that
         // hot lines are the same in every chunk of the trace.
-        const uint64_t rank = rng.nextZipf(ws_lines, phase.wsZipf);
+        const uint64_t rank = ws_law.draw(rng);
         return hashMix(seed ^ 0xDA7Au, rank, salt) % ws_lines;
     };
 
@@ -273,10 +295,13 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
             pos = scratch.streamPos[slot_ix];
         }
         scratch.streamPos[slot_ix] = pos + 1;
-        const uint64_t span = kStreamLines * 64 / std::max<uint64_t>(
-            1, stride);
-        return stream_base + ss.streamBase
-            + (pos % std::max<uint64_t>(1, span)) * stride;
+        const uint64_t span = std::max<uint64_t>(
+            1, kStreamLines * 64 / std::max<uint64_t>(1, stride));
+        // Element streams (stride 8) and power-of-two strides wrap by
+        // mask; the remainder is the same either way.
+        const uint64_t wrapped = (span & (span - 1)) == 0
+            ? pos & (span - 1) : pos % span;
+        return stream_base + ss.streamBase + wrapped * stride;
     };
 
     const uint64_t target_count = kChunkLen;
@@ -291,8 +316,8 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
              ++slot, ++emitted) {
             const uint32_t slot_ix = persona.slotBegin + slot;
             const StaticSlot &ss = slots[slot_ix];
-            Instruction instr;
-            instr.pc = ss.pc;
+            pc_col[emitted] = ss.pc;
+            line_col[emitted] = ss.pc >> 6;
 
             InstrType type = ss.type;
             const double role_u = ss.roleU;
@@ -301,7 +326,7 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
             if (isb_prob > 0 && rng.nextBool(isb_prob))
                 type = InstrType::Isb;
 
-            instr.type = type;
+            type_col[emitted] = type;
             const int64_t self = base + static_cast<int64_t>(emitted);
 
             switch (type) {
@@ -311,22 +336,22 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                 if (m < ph.seqFrac) {
                     // Sequential element streams: 8-byte elements, so most
                     // accesses hit the line fetched by the previous ones.
-                    instr.memAddr = stream_addr(kSeqBase, slot_ix, 8);
-                    instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                    addr_col[emitted] = stream_addr(kSeqBase, slot_ix, 8);
+                    dep0_col[emitted] = pick_producer(depDistance);
                 } else if (m < ph.seqFrac + ph.strideFrac) {
-                    instr.memAddr = stream_addr(
+                    addr_col[emitted] = stream_addr(
                         kStrideBase, slot_ix,
                         std::max<uint64_t>(64, ph.strideBytes));
-                    instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                    dep0_col[emitted] = pick_producer(depDistance);
                 } else if (m < ph.seqFrac + ph.strideFrac + ph.chaseFrac) {
                     st.chaseState = hashMix(st.chaseState, 0xC4A5EULL);
                     const uint64_t rank = st.chaseState % ws_lines;
-                    instr.memAddr = kWsBase
+                    addr_col[emitted] = kWsBase
                         + (hashMix(seed ^ 0xDA7Au, rank, 1) % ws_lines) * 64;
                     // The defining property of a chase: the address depends
                     // on the previous chase load's value.
                     if (st.lastChase >= 0) {
-                        instr.srcDeps[0] =
+                        dep0_col[emitted] =
                             static_cast<int32_t>(st.lastChase);
                     }
                     st.lastChase = self;
@@ -337,53 +362,53 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                         std::min(st.numStores, kStoreRing));
                     const size_t slot_pos =
                         (st.numStores - 1 - pick) % kStoreRing;
-                    instr.memAddr = st.storeAddr[slot_pos];
-                    instr.memDep =
+                    addr_col[emitted] = st.storeAddr[slot_pos];
+                    mem_dep_col[emitted] =
                         static_cast<int32_t>(st.storeIdx[slot_pos]);
-                    instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                    dep0_col[emitted] = pick_producer(depDistance);
                 } else {
-                    instr.memAddr = kWsBase + random_ws_line(2) * 64;
-                    instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                    addr_col[emitted] = kWsBase + random_ws_line(2) * 64;
+                    dep0_col[emitted] = pick_producer(depDistance);
                 }
                 record_producer(self);
                 break;
               }
               case InstrType::Store: {
-                if (role_u < phase.storeSeqFrac) {
-                    instr.memAddr = stream_addr(kWriteBase, slot_ix, 8);
-                } else {
-                    instr.memAddr = kWsBase + random_ws_line(3) * 64;
-                }
-                instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                const uint64_t addr = role_u < phase.storeSeqFrac
+                    ? stream_addr(kWriteBase, slot_ix, 8)
+                    : kWsBase + random_ws_line(3) * 64;
+                addr_col[emitted] = addr;
+                dep0_col[emitted] = pick_producer(depDistance);
                 if (rng.nextBool(prof.secondSrcProb))
-                    instr.srcDeps[1] = pick_producer(prof.depMeanDist);
+                    dep1_col[emitted] = pick_producer(depDistance);
                 st.storeIdx[st.numStores % kStoreRing] = self;
-                st.storeAddr[st.numStores % kStoreRing] = instr.memAddr;
+                st.storeAddr[st.numStores % kStoreRing] = addr;
                 ++st.numStores;
                 break;
               }
               case InstrType::Isb:
                 break;
               default: {
-                instr.srcDeps[0] = pick_producer(prof.depMeanDist);
+                dep0_col[emitted] = pick_producer(depDistance);
                 if (rng.nextBool(prof.secondSrcProb))
-                    instr.srcDeps[1] = pick_producer(prof.depMeanDist);
+                    dep1_col[emitted] = pick_producer(depDistance);
                 record_producer(self);
                 break;
               }
             }
-            out.append(instr);
         }
         if (emitted >= target_count)
             break;
 
         // ---- terminating branch ----
-        Instruction br;
-        br.type = InstrType::Branch;
-        br.pc = persona.branchPc;
+        pc_col[emitted] = persona.branchPc;
+        line_col[emitted] = persona.branchPc >> 6;
+        type_col[emitted] = InstrType::Branch;
         // Branch resolution waits on a recent producer.
-        br.srcDeps[0] = pick_producer(3.0);
+        dep0_col[emitted] = pick_producer(branchDistance);
 
+        BranchKind kind;
+        bool taken;
         uint32_t next_block;
         const uint32_t linear_next = (st.curBlock + 1) % prof.numBlocks;
         const uint32_t hot = std::max<uint32_t>(
@@ -393,10 +418,10 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
             // Active loop back-edge: taken while iterations remain. On
             // exit, hop past the immediate successor occasionally so
             // adjacent loop families do not recapture control forever.
-            br.branchKind = BranchKind::DirectCond;
+            kind = BranchKind::DirectCond;
             --st.tripsLeft;
-            br.taken = st.tripsLeft > 0;
-            if (br.taken) {
+            taken = st.tripsLeft > 0;
+            if (taken) {
                 next_block = st.loopHead;
             } else {
                 next_block = (st.curBlock + 1
@@ -407,8 +432,8 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
         } else {
             switch (persona.kind) {
               case BranchKindStatic::Indirect: {
-                br.branchKind = BranchKind::Indirect;
-                br.taken = true;
+                kind = BranchKind::Indirect;
+                taken = true;
                 // Indirect targets repeat with temporal locality, like
                 // interpreter dispatch: hard but not hopeless to predict.
                 // Each site's default target is a static property, so a
@@ -420,25 +445,22 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                 } else {
                     last = scratch.lastIndirect[st.curBlock];
                 }
-                if (!rng.nextBool(prof.indirectRepeat)) {
-                    last = static_cast<uint16_t>(rng.nextZipf(
-                        std::max(1, prof.indirectTargets),
-                        prof.indirectZipf));
-                }
+                if (!rng.nextBool(prof.indirectRepeat))
+                    last = static_cast<uint16_t>(indirectLaw.draw(rng));
                 scratch.lastIndirect[st.curBlock] = last;
-                br.targetId = last;
+                target_col[emitted] = last;
                 // Dispatch within the neighborhood (handler locality).
                 next_block = static_cast<uint32_t>(
                     (st.curBlock
-                     + hashMix(seed, st.curBlock, br.targetId + 17) % hot
+                     + hashMix(seed, st.curBlock, last + 17) % hot
                      + 1)
                     % prof.numBlocks);
                 st.loopActive = false;
                 break;
               }
               case BranchKindStatic::Uncond: {
-                br.branchKind = BranchKind::DirectUncond;
-                br.taken = true;
+                kind = BranchKind::DirectUncond;
+                taken = true;
                 if (rng.nextBool(prof.coldJumpProb)) {
                     next_block = static_cast<uint32_t>(
                         rng.nextBounded(prof.numBlocks));
@@ -453,7 +475,7 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                 break;
               }
               case BranchKindStatic::LoopTail: {
-                br.branchKind = BranchKind::DirectCond;
+                kind = BranchKind::DirectCond;
                 // Deterministic periodic loop entry (2 of 3 visits): a
                 // tail reached right after exiting often falls through,
                 // which keeps loop families from trapping control flow --
@@ -468,7 +490,7 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                 }
                 scratch.loopVisits[st.curBlock] = visit + 1;
                 if (visit % 3 == 2) {
-                    br.taken = false;
+                    taken = false;
                     next_block = linear_next;
                     break;
                 }
@@ -484,19 +506,19 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
                 if (st.tripsLeft < 1)
                     st.tripsLeft = 1;
                 --st.tripsLeft;
-                br.taken = st.tripsLeft > 0;
-                next_block = br.taken ? st.loopHead : linear_next;
-                if (!br.taken)
+                taken = st.tripsLeft > 0;
+                next_block = taken ? st.loopHead : linear_next;
+                if (!taken)
                     st.loopActive = false;
                 break;
               }
               case BranchKindStatic::Cond:
               default: {
-                br.branchKind = BranchKind::DirectCond;
-                br.taken = persona.randomBranch
+                kind = BranchKind::DirectCond;
+                taken = persona.randomBranch
                     ? rng.nextBool(0.5) : rng.nextBool(persona.bias);
                 // Taken conditionals skip a block or two forward.
-                next_block = br.taken
+                next_block = taken
                     ? (st.curBlock + 1
                        + static_cast<uint32_t>(rng.nextBounded(2) + 1))
                       % prof.numBlocks
@@ -506,7 +528,8 @@ ProgramModel::generateChunk(int trace_id, uint64_t chunk_index,
             }
         }
 
-        out.append(br);
+        kind_col[emitted] = kind;
+        taken_col[emitted] = taken ? 1 : 0;
         ++emitted;
         st.curBlock = next_block;
     }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "trace/instruction.hh"
 #include "trace/trace_columns.hh"
 
@@ -221,6 +222,12 @@ class ProgramModel
     uint64_t seed;
     std::vector<StaticBlock> blocks;
     std::vector<StaticSlot> slots;
+
+    // The per-draw laws' constants, computed once per model.
+    GeometricLaw depDistance;       ///< producer distance, body slots
+    GeometricLaw branchDistance;    ///< producer distance, branches
+    ZipfLaw indirectLaw;            ///< indirect-branch target ranks
+    std::vector<ZipfLaw> wsLaws;    ///< per phase: working-set line ranks
 };
 
 } // namespace concorde

@@ -34,6 +34,22 @@ TraceColumns::reserve(size_t n)
 }
 
 void
+TraceColumns::resize(size_t n)
+{
+    const Instruction blank;
+    pc.resize(n, blank.pc);
+    memAddr.resize(n, blank.memAddr);
+    instLine.resize(n, blank.instLine());
+    srcDep0.resize(n, blank.srcDeps[0]);
+    srcDep1.resize(n, blank.srcDeps[1]);
+    memDep.resize(n, blank.memDep);
+    type.resize(n, blank.type);
+    branchKind.resize(n, blank.branchKind);
+    taken.resize(n, blank.taken ? 1 : 0);
+    targetId.resize(n, blank.targetId);
+}
+
+void
 TraceColumns::append(const Instruction &instr)
 {
     pc.push_back(instr.pc);

@@ -48,6 +48,8 @@ struct TraceColumns
 
     void clear();
     void reserve(size_t n);
+    /** Grow or shrink to n entries; new entries are Instruction{}. */
+    void resize(size_t n);
 
     void append(const Instruction &instr);
     /** Append entries [begin, end) of another column set. */

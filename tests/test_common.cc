@@ -384,6 +384,16 @@ TEST(IntegerHistogram, EncodeMatchesSortedLog1pEncode)
     }
 }
 
+TEST(IntegerHistogram, DenseRunOfTwoToTheTwentyMatchesSortedEncode)
+{
+    // One dense value 2^20 times and one large value: the dense run is
+    // summed by addRepeated's exact steps across many binades.
+    std::vector<uint64_t> samples(size_t{1} << 20, 37);
+    samples.push_back(IntegerHistogram::kDenseCap + 12345);
+    for (size_t p : {2, 25})
+        expectHistogramEncodeMatches(samples, p, "dense run of 2^20");
+}
+
 TEST(IntegerHistogram, CountsAndClear)
 {
     IntegerHistogram hist;
@@ -397,6 +407,153 @@ TEST(IntegerHistogram, CountsAndClear)
     EXPECT_EQ(hist.count(1), 0u);
     hist.clear();
     EXPECT_EQ(hist.size(), 0u);
+}
+
+double
+loopAdd(double total, double value, uint64_t count)
+{
+    for (uint64_t c = 0; c < count; ++c)
+        total += value;
+    return total;
+}
+
+void
+expectAddRepeatedMatchesLoop(double total, double value, uint64_t count)
+{
+    const double want = loopAdd(total, value, count);
+    const double got = addRepeated(total, value, count);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << std::hexfloat << "total " << total << " value " << value
+        << " count " << count << ": " << got << " vs " << want;
+}
+
+/** Distance from x to the next double up (x positive and finite). */
+double
+ulpAbove(double x)
+{
+    return std::nextafter(x, INFINITY) - x;
+}
+
+TEST(AddRepeated, MatchesPlainLoopBitwise)
+{
+    Rng rng(2718);
+    // Counts on both sides of the 8-add cutoff, and long runs.
+    auto draw_count = [&]() -> uint64_t {
+        const uint64_t pick = rng.nextBounded(10);
+        return pick < 3 ? rng.nextBounded(64)
+            : pick < 5 ? 4 + rng.nextBounded(10)
+            : pick < 9 ? 64 + rng.nextBounded(2000)
+            : 2000 + rng.nextBounded(30000);
+    };
+    auto log_uniform = [&](double lo_exp, double hi_exp) {
+        return std::exp2(lo_exp + (hi_exp - lo_exp) * rng.nextDouble());
+    };
+    for (int round = 0; round < 60000; ++round) {
+        const uint64_t count = draw_count();
+        double total = 0.0, value = 1.0;
+        switch (round % 6) {
+          case 0:   // from zero
+            value = log_uniform(-20, 20);
+            break;
+          case 1:   // value well below the total
+            total = log_uniform(-5, 30);
+            value = total * log_uniform(-40, -1);
+            break;
+          case 2:   // value above the total
+            total = log_uniform(-10, 10);
+            value = total * log_uniform(0, 8);
+            break;
+          case 3: { // exact ties: (q + 1/2) ulps of the total
+            total = log_uniform(0, 40);
+            const double q = static_cast<double>(rng.nextBounded(4096));
+            value = (q + 0.5) * ulpAbove(total);
+            break;
+          }
+          case 4: { // just below a power of two: binade crossings
+            const double top = std::exp2(
+                static_cast<double>(rng.nextBounded(60)));
+            total = top - static_cast<double>(rng.nextBounded(1000))
+                * ulpAbove(top / 2);
+            value = static_cast<double>(1 + rng.nextBounded(64))
+                * ulpAbove(total) * (1.0 + rng.nextDouble());
+            break;
+          }
+          default:  // log1p of small cycle counts, as the encoder adds
+            total = static_cast<double>(rng.nextBounded(1 << 20))
+                * std::log1p(3.0);
+            value = std::log1p(static_cast<double>(rng.nextBounded(4096)));
+            break;
+        }
+        expectAddRepeatedMatchesLoop(total, value, count);
+    }
+    // Operands the exact steps leave to the loop.
+    for (double total : {0.0, -0.0, -3.5, 1e-310, 2.0}) {
+        for (double value : {0.0, -0.0, 1.25, -1.25, 1e-310, 0x1p-60}) {
+            expectAddRepeatedMatchesLoop(total, value, 5);
+            expectAddRepeatedMatchesLoop(total, value, 300);
+        }
+    }
+    expectAddRepeatedMatchesLoop(1.0, 0x1p-80, 1000);
+    expectAddRepeatedMatchesLoop(0x1p-1022, 0x1p-1022, 1000);
+}
+
+TEST(GeometricLaw, FastLogWithinItsBound)
+{
+    Rng rng(31);
+    double worst = 0.0;
+    for (int i = 0; i < 200000; ++i) {
+        // Uniform doubles as the law draws them, and every binade.
+        double u = i % 2 ? rng.nextDouble()
+            : std::exp2(-1000.0 * rng.nextDouble()) * (1.0 + rng.nextDouble());
+        if (u < 1e-300)
+            u = 1e-300;
+        const long double truth = std::log(static_cast<long double>(u));
+        const double err = static_cast<double>(std::fabs(
+            static_cast<long double>(GeometricLaw::fastLog(u)) - truth));
+        const double bound = GeometricLaw::kFastLogAbs
+            + GeometricLaw::kFastLogRel * std::fabs(static_cast<double>(truth));
+        ASSERT_LE(err, bound) << std::hexfloat << "u = " << u;
+        worst = std::max(worst, err / bound);
+    }
+    EXPECT_LT(worst, 0.5);
+}
+
+TEST(GeometricLaw, DrawsEqualLibmFormula)
+{
+    for (double mean : {0.5, 1.0, 1.5, 3.0, 6.0, 8.0, 12.0, 100.0, 1e4}) {
+        const GeometricLaw law(mean);
+        Rng a(static_cast<uint64_t>(mean * 1000));
+        Rng b = a;
+        for (int i = 0; i < 50000; ++i) {
+            uint64_t want = 1;
+            if (mean > 1.0) {
+                double u = b.nextDouble();
+                if (u < 1e-300)
+                    u = 1e-300;
+                const double v = std::log(u) / std::log(1.0 - 1.0 / mean);
+                want = static_cast<uint64_t>(v) + 1;
+            }
+            ASSERT_EQ(law.draw(a), want) << "mean " << mean << " draw " << i;
+        }
+        EXPECT_EQ(a.next(), b.next());
+    }
+    // Uniforms whose quotient lands on or within ulps of an integer,
+    // where only the libm evaluation decides the floor.
+    for (double mean : {2.0, 3.0, 6.0}) {
+        const GeometricLaw law(mean);
+        const double log_q = std::log(1.0 - 1.0 / mean);
+        for (int k = 1; k < 60; ++k) {
+            double u = std::exp(log_q * k);
+            for (int step = 0; step < 4; ++step)
+                u = std::nextafter(u, 0.0);
+            for (int step = 0; step < 9; ++step) {
+                const double v = std::log(u) / log_q;
+                ASSERT_EQ(law.ofUniform(u), static_cast<uint64_t>(v) + 1)
+                    << std::hexfloat << "mean " << mean << " u " << u;
+                u = std::nextafter(u, 1.0);
+            }
+        }
+    }
 }
 
 TEST(RunningStats, MatchesClosedForm)

@@ -333,6 +333,37 @@ TEST(PipelineModes, ShardedMatchesScalarBitwise)
     }
 }
 
+TEST(PipelineModes, CarryReusedAcrossSpansMatchesFreshPipelines)
+{
+    // One Carry pipeline regenerates later spans into the trace buffers
+    // of earlier ones (longer, then shorter): every run must equal a
+    // fresh pipeline's.
+    const ConcordePredictor predictor = tinyPredictor(11);
+    const UarchParams params = UarchParams::armN1();
+    for (ExecMode mode : {ExecMode::Scalar, ExecMode::Sharded}) {
+        for (size_t threads : {1, 2, 3}) {
+            PipelineConfig config;
+            config.regionChunks = 1;
+            config.warmupChunks = 2;
+            config.mode = mode;
+            config.state = StateMode::Carry;
+            config.threads = threads;
+            AnalysisPipeline reused(predictor, config);
+            for (uint64_t chunks : {uint64_t(2), uint64_t(5), uint64_t(1),
+                                    uint64_t(3)}) {
+                SCOPED_TRACE(testing::Message()
+                             << chunks << " regions, " << threads
+                             << " threads");
+                const TraceSpan span = testSpan(chunks);
+                expectResultsIdentical(
+                    runPipeline(predictor, span, params, mode,
+                                StateMode::Carry, threads),
+                    reused.run(span, params));
+            }
+        }
+    }
+}
+
 TEST(PipelineModes, PhaseTimesAddUpWithinTotal)
 {
     // The per-phase times never sum past the whole run, in any mode;

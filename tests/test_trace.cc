@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <set>
 
 #include "trace/workloads.hh"
@@ -101,6 +103,97 @@ TEST(Generator, ChunksComposeIntoRegions)
                       b[i].srcDeps[0] + static_cast<int32_t>(a.size()));
         }
     }
+}
+
+/** FNV-1a over the bytes of a column, continuing from `h`. */
+template <typename T>
+uint64_t
+fnv1aColumn(const std::vector<T> &column, uint64_t h)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(column.data());
+    for (size_t i = 0; i < column.size() * sizeof(T); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(Generator, ColumnsMatchCommittedDigest)
+{
+    // Every column of four 3-chunk regions per program: the trace head,
+    // mid-trace, one straddling the first phase boundary, and one from
+    // trace 1 (trace 0 again for single-trace programs). The digests
+    // were taken before the generator's per-draw constants were hoisted
+    // and its columns written in place; any changed bit shows here.
+    static const uint64_t kDigests[29] = {
+        0x3035c99b6ceccc87ULL,
+        0x4088bd65aa1b2575ULL,
+        0x6e2e45dd24dddf06ULL,
+        0x4ac7ad216389262cULL,
+        0x2ea51d3691ba9771ULL,
+        0x29ff01153dadf984ULL,
+        0x4c96f73f52bd9b9dULL,
+        0xf48a1d4c806d238aULL,
+        0x7fd35aa4a4f68f07ULL,
+        0x578a4943e5d56078ULL,
+        0xa1d5b742cf96ac6aULL,
+        0x6c975f4f22eff158ULL,
+        0x4a14181c920e1752ULL,
+        0x28c4bd3f54787074ULL,
+        0xce0e830e674545c9ULL,
+        0x839c7b8385d6810bULL,
+        0x19cc7a432caa3837ULL,
+        0x213b42f75a191dd0ULL,
+        0x28fc4e71da4c40f4ULL,
+        0xb5eeb7c58b38da80ULL,
+        0xa96b3c0287bb140aULL,
+        0xf235a3e4f29e4837ULL,
+        0x980f45a41f8b0ccdULL,
+        0x8cd739c4ef2fb30fULL,
+        0x1f54738c97ed871bULL,
+        0xe6e7aafb3b5d1917ULL,
+        0x3351e6045f1970e2ULL,
+        0xb0038caa1a74c331ULL,
+        0xb002e8622d48a6ffULL,
+    };
+    const auto &corpus = workloadCorpus();
+    ASSERT_EQ(corpus.size(), 29u);
+    std::string table;
+    bool all_match = true;
+    for (size_t pid = 0; pid < corpus.size(); ++pid) {
+        const auto &info = corpus[pid];
+        const int id = static_cast<int>(pid);
+        const uint64_t boundary = std::max<uint32_t>(
+            1, info.profile.chunksPerPhase);
+        const RegionSpec specs[] = {
+            {id, 0, 0, 3},
+            {id, 0, info.chunksPerTrace / 2, 3},
+            {id, 0, boundary - 1, 3},
+            {id, info.numTraces > 1 ? 1 : 0, 40, 3},
+        };
+        uint64_t h = 0xcbf29ce484222325ULL;
+        for (const RegionSpec &spec : specs) {
+            const TraceColumns cols = generateRegion(spec);
+            h = fnv1aColumn(cols.pc, h);
+            h = fnv1aColumn(cols.memAddr, h);
+            h = fnv1aColumn(cols.instLine, h);
+            h = fnv1aColumn(cols.srcDep0, h);
+            h = fnv1aColumn(cols.srcDep1, h);
+            h = fnv1aColumn(cols.memDep, h);
+            h = fnv1aColumn(cols.type, h);
+            h = fnv1aColumn(cols.branchKind, h);
+            h = fnv1aColumn(cols.taken, h);
+            h = fnv1aColumn(cols.targetId, h);
+        }
+        EXPECT_EQ(h, kDigests[pid]) << info.code();
+        all_match = all_match && h == kDigests[pid];
+        char line[40];
+        std::snprintf(line, sizeof(line), "        0x%016" PRIx64 "ULL,\n",
+                      h);
+        table += line;
+    }
+    if (!all_match)
+        std::printf("computed digests:\n%s", table.c_str());
 }
 
 TEST(Generator, TracesDiffer)

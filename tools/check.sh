@@ -90,7 +90,8 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
         ./build/bench/bench_pipeline_e2e
 
     # Cold-analysis gate: the fused columnar sweep must match the legacy
-    # per-side row passes bitwise and never lose to them.
+    # per-side row passes bitwise and never lose to them. Also reports
+    # trace generation's rate (gen_minstr_s), timed apart, ungated.
     CONCORDE_BENCH_JSON=BENCH_analysis.json \
         ./build/bench/bench_analysis_cold
 
