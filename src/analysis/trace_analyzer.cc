@@ -1,7 +1,6 @@
 #include "analysis/trace_analyzer.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/rng.hh"
 #include "trace/workloads.hh"
@@ -20,79 +19,86 @@ branchSeedFor(int program_id, int trace_id, uint64_t start_chunk)
 namespace
 {
 
-/**
- * The fused analysis sweep: one pass over `cols` feeding every non-null
- * structure. The d-hierarchy, i-hierarchy, and branch predictor are
- * independent state machines, and each sees exactly the subsequence (in
- * exactly the order) the legacy per-side loops fed it, so the results
- * are bitwise-identical to three separate passes.
- *
- * Null outputs with a non-null structure = warmup (train, don't record).
- */
+// One columnar sweep per side. Each feeds its structure exactly the
+// subsequence, in exactly the order, the row oracles of
+// AnalyzerCarryState feed it, so the results are bitwise-identical to
+// them. A null output trains without recording (warmup).
+
 void
-fusedSweep(const TraceColumns &cols, DataHierarchy *dh, InstHierarchy *ih,
-           uint64_t &last_i_line, BranchPredictor *bp, DSideAnalysis *d,
-           ISideAnalysis *i, BranchAnalysis *b)
+sweepDside(const TraceColumns &cols, DataHierarchy &dh, DSideAnalysis *d)
 {
     const size_t n = cols.size();
     if (d) {
         d->execLat.resize(n);
         d->loadLevel.assign(n, CacheLevel::L1);
     }
+    for (size_t k = 0; k < n; ++k) {
+        const InstrType t = cols.type[k];
+        if (t == InstrType::Load) {
+            const CacheLevel level =
+                dh.access(cols.pc[k], cols.memAddr[k], false);
+            if (d) {
+                d->loadLevel[k] = level;
+                d->execLat[k] = loadLatency(level);
+            }
+        } else {
+            if (t == InstrType::Store)
+                dh.access(cols.pc[k], cols.memAddr[k], true);
+            if (d)
+                d->execLat[k] = fixedLatency(t);
+        }
+    }
+    if (d)
+        d->stats = dh.stats();
+}
+
+void
+sweepIside(const TraceColumns &cols, InstHierarchy &ih, uint64_t &last_line,
+           ISideAnalysis *i)
+{
+    const size_t n = cols.size();
     if (i) {
         i->newLine.assign(n, 0);
         i->lineLat.assign(n, kL1iHitLat);
     }
+    for (size_t k = 0; k < n; ++k) {
+        const uint64_t line = cols.instLine[k];
+        if (line == last_line)
+            continue;
+        const CacheLevel level = ih.access(line);
+        if (i) {
+            i->newLine[k] = 1;
+            i->lineLat[k] = level == CacheLevel::L1
+                ? kL1iHitLat : loadLatency(level);
+        }
+        last_line = line;
+    }
+    if (i)
+        i->stats = ih.stats();
+}
+
+void
+sweepBranches(const TraceColumns &cols, BranchPredictor &bp,
+              BranchAnalysis *b)
+{
+    const size_t n = cols.size();
     if (b)
         b->mispredict.assign(n, 0);
-
     for (size_t k = 0; k < n; ++k) {
-        const InstrType t = cols.type[k];
-        if (dh) {
-            if (t == InstrType::Load) {
-                const CacheLevel level =
-                    dh->access(cols.pc[k], cols.memAddr[k], false);
-                if (d) {
-                    d->loadLevel[k] = level;
-                    d->execLat[k] = loadLatency(level);
-                }
-            } else {
-                if (t == InstrType::Store)
-                    dh->access(cols.pc[k], cols.memAddr[k], true);
-                if (d)
-                    d->execLat[k] = fixedLatency(t);
-            }
-        }
-        if (ih) {
-            const uint64_t line = cols.instLine[k];
-            if (line != last_i_line) {
-                const CacheLevel level = ih->access(line);
-                if (i) {
-                    i->newLine[k] = 1;
-                    i->lineLat[k] = level == CacheLevel::L1
-                        ? kL1iHitLat : loadLatency(level);
-                }
-                last_i_line = line;
-            }
-        }
-        if (bp && t == InstrType::Branch) {
-            const BranchKind kind = cols.branchKind[k];
-            const uint8_t miss = predictorStep(*bp, cols.pc[k], kind,
-                                               cols.taken[k] != 0,
-                                               cols.targetId[k]);
-            if (b) {
-                b->mispredict[k] = miss;
-                if (kind != BranchKind::DirectUncond) {
-                    ++b->numBranches;
-                    b->numMispredicts += miss;
-                }
+        if (cols.type[k] != InstrType::Branch)
+            continue;
+        const BranchKind kind = cols.branchKind[k];
+        const uint8_t miss = predictorStep(bp, cols.pc[k], kind,
+                                           cols.taken[k] != 0,
+                                           cols.targetId[k]);
+        if (b) {
+            b->mispredict[k] = miss;
+            if (kind != BranchKind::DirectUncond) {
+                ++b->numBranches;
+                b->numMispredicts += miss;
             }
         }
     }
-    if (d && dh)
-        d->stats = dh->stats();
-    if (i && ih)
-        i->stats = ih->stats();
 }
 
 } // anonymous namespace
@@ -135,244 +141,94 @@ RegionAnalysis::RegionAnalysis(const RegionSpec &spec, uint32_t warmup_chunks)
                                spec.startChunk);
 }
 
-RegionAnalysis::RegionAnalysis(const RegionSpec &spec, TraceColumns cols)
+RegionAnalysis::RegionAnalysis(const RegionSpec &spec, TraceColumns cols,
+                               const MemoryConfig &mem,
+                               const BranchConfig &branch,
+                               ShardAnalyses sides)
     : regionSpec(spec), region(std::move(cols))
 {
     loadLineIndex = LoadLineIndex::build(region);
     branchSeed = branchSeedFor(spec.programId, spec.traceId,
                                spec.startChunk);
+    st->dsides.get(mem.dSideKey(), [&] { return std::move(sides.dside); });
+    st->isides.get(mem.iSideKey(), [&] { return std::move(sides.iside); });
+    st->branchAnalyses.get(branch.key(),
+                           [&] { return std::move(sides.branches); });
 }
 
 const TraceColumns &
 RegionAnalysis::combinedColumns() const
 {
-    CombinedTrace &combined = st->combined;
-    if (!combined.ready.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(combined.mtx);
-        if (!combined.ready.load(std::memory_order_relaxed)) {
-            combined.cols.assignConcat(warmup, region);
-            combined.ready.store(true, std::memory_order_release);
-        }
-    }
-    return combined.cols;
-}
-
-void
-RegionAnalysis::rebuildCombinedFlags(const BranchAnalysis &branch_info,
-                                     std::vector<uint8_t> &flags) const
-{
-    const size_t total = warmup.size() + region.size();
-    flags.assign(total, 0);
-    std::copy(branch_info.mispredict.begin(), branch_info.mispredict.end(),
-              flags.begin()
-                  + static_cast<std::ptrdiff_t>(
-                        total - branch_info.mispredict.size()));
+    return st->combined.get(0, [this] {
+        TraceColumns cols;
+        cols.assignConcat(warmup, region);
+        return cols;
+    });
 }
 
 const std::vector<uint8_t> &
 RegionAnalysis::combinedFlags(const BranchConfig &config)
 {
-    auto &e = st->combinedFlagLayouts.entryFor(config.key());
-    if (std::vector<uint8_t> *p = e.ready.load(std::memory_order_acquire))
-        return *p;
-    // Build the input outside this entry's latch: it takes the branch
-    // entry's own latch.
-    const BranchAnalysis &branch_info = branches(config);
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    if (std::vector<uint8_t> *p = e.ready.load(std::memory_order_relaxed))
-        return *p;
-    auto flags = std::make_unique<std::vector<uint8_t>>();
-    rebuildCombinedFlags(branch_info, *flags);
-    std::vector<uint8_t> *raw = flags.get();
-    e.value = std::move(flags);
-    e.ready.store(raw, std::memory_order_release);
-    return *raw;
-}
-
-void
-RegionAnalysis::buildFused(const MemoryConfig *mem, DSideAnalysis *d,
-                           ISideAnalysis *i, const BranchConfig *br,
-                           BranchAnalysis *b) const
-{
-    std::optional<DataHierarchy> dh;
-    std::optional<InstHierarchy> ih;
-    std::unique_ptr<BranchPredictor> bp;
-    uint64_t last_i_line = ~0ULL;
-    if (d)
-        dh.emplace(*mem);
-    if (i)
-        ih.emplace(*mem);
-    if (b)
-        bp = makePredictor(*br, branchSeed);
-
-    fusedSweep(warmup, dh ? &*dh : nullptr, ih ? &*ih : nullptr,
-               last_i_line, bp.get(), nullptr, nullptr, nullptr);
-    fusedSweep(region, dh ? &*dh : nullptr, ih ? &*ih : nullptr,
-               last_i_line, bp.get(), d, i, b);
+    // Takes the branch entry's latch under this one; nothing takes them
+    // in the other order.
+    return st->combinedFlagLayouts.get(config.key(), [&] {
+        const std::vector<uint8_t> &mispredict =
+            branches(config).mispredict;
+        std::vector<uint8_t> flags(warmup.size() + mispredict.size(), 0);
+        std::copy(mispredict.begin(), mispredict.end(),
+                  flags.begin()
+                      + static_cast<std::ptrdiff_t>(warmup.size()));
+        return flags;
+    });
 }
 
 const DSideAnalysis &
 RegionAnalysis::dside(const MemoryConfig &config)
 {
-    auto &e = st->dsides.entryFor(config.dSideKey());
-    if (DSideAnalysis *p = e.ready.load(std::memory_order_acquire))
-        return *p;
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    if (DSideAnalysis *p = e.ready.load(std::memory_order_relaxed))
-        return *p;
-    auto analysis = std::make_unique<DSideAnalysis>();
-    buildFused(&config, analysis.get(), nullptr, nullptr, nullptr);
-    DSideAnalysis *raw = analysis.get();
-    e.value = std::move(analysis);
-    e.ready.store(raw, std::memory_order_release);
-    return *raw;
+    return st->dsides.get(config.dSideKey(), [&] {
+        DataHierarchy dh(config);
+        DSideAnalysis d;
+        sweepDside(warmup, dh, nullptr);
+        sweepDside(region, dh, &d);
+        return d;
+    });
 }
 
 const ISideAnalysis &
 RegionAnalysis::iside(const MemoryConfig &config)
 {
-    auto &e = st->isides.entryFor(config.iSideKey());
-    if (ISideAnalysis *p = e.ready.load(std::memory_order_acquire))
-        return *p;
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    if (ISideAnalysis *p = e.ready.load(std::memory_order_relaxed))
-        return *p;
-    auto analysis = std::make_unique<ISideAnalysis>();
-    buildFused(&config, nullptr, analysis.get(), nullptr, nullptr);
-    ISideAnalysis *raw = analysis.get();
-    e.value = std::move(analysis);
-    e.ready.store(raw, std::memory_order_release);
-    return *raw;
+    return st->isides.get(config.iSideKey(), [&] {
+        InstHierarchy ih(config);
+        uint64_t last_line = ~0ULL;
+        ISideAnalysis i;
+        sweepIside(warmup, ih, last_line, nullptr);
+        sweepIside(region, ih, last_line, &i);
+        return i;
+    });
 }
 
 const BranchAnalysis &
 RegionAnalysis::branches(const BranchConfig &config)
 {
-    auto &e = st->branchAnalyses.entryFor(config.key());
-    if (BranchAnalysis *p = e.ready.load(std::memory_order_acquire))
-        return *p;
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    if (BranchAnalysis *p = e.ready.load(std::memory_order_relaxed))
-        return *p;
-    auto analysis = std::make_unique<BranchAnalysis>();
-    buildFused(nullptr, nullptr, nullptr, &config, analysis.get());
-    BranchAnalysis *raw = analysis.get();
-    e.value = std::move(analysis);
-    e.ready.store(raw, std::memory_order_release);
-    return *raw;
+    return st->branchAnalyses.get(config.key(), [&] {
+        const std::unique_ptr<BranchPredictor> bp =
+            makePredictor(config, branchSeed);
+        BranchAnalysis b;
+        sweepBranches(warmup, *bp, nullptr);
+        sweepBranches(region, *bp, &b);
+        return b;
+    });
 }
 
 void
 RegionAnalysis::analyzeAll(const MemoryConfig &config,
                            const BranchConfig &branch)
 {
-    auto &de = st->dsides.entryFor(config.dSideKey());
-    auto &ie = st->isides.entryFor(config.iSideKey());
-    auto &be = st->branchAnalyses.entryFor(branch.key());
-    if (de.ready.load(std::memory_order_acquire)
-        && ie.ready.load(std::memory_order_acquire)
-        && be.ready.load(std::memory_order_acquire)) {
-        return;
-    }
-
-    // Take the latch of every missing side that no other thread is
-    // building and fill those sides with one sweep; only then wait for
-    // the sides another thread holds. Blocking on a held latch while
-    // holding one would make this thread's own side wait for the other
-    // thread's whole sweep (a d-side nobody else needs, say, behind a
-    // shared i-side another worker fuses with its own d-side). Nothing
-    // here blocks while holding a latch, so nothing can deadlock.
-    std::unique_lock<std::mutex> d_lock(de.buildMtx, std::defer_lock);
-    std::unique_lock<std::mutex> i_lock(ie.buildMtx, std::defer_lock);
-    std::unique_lock<std::mutex> b_lock(be.buildMtx, std::defer_lock);
-    if (!de.ready.load(std::memory_order_acquire))
-        (void)d_lock.try_lock();
-    if (!ie.ready.load(std::memory_order_acquire))
-        (void)i_lock.try_lock();
-    if (!be.ready.load(std::memory_order_acquire))
-        (void)b_lock.try_lock();
-    // Re-check under each latch: another builder may have finished the
-    // side before this one took it.
-    const bool want_d =
-        d_lock.owns_lock() && !de.ready.load(std::memory_order_relaxed);
-    const bool want_i =
-        i_lock.owns_lock() && !ie.ready.load(std::memory_order_relaxed);
-    const bool want_b =
-        b_lock.owns_lock() && !be.ready.load(std::memory_order_relaxed);
-
-    if (want_d || want_i || want_b) {
-        auto d = want_d ? std::make_unique<DSideAnalysis>() : nullptr;
-        auto i = want_i ? std::make_unique<ISideAnalysis>() : nullptr;
-        auto b = want_b ? std::make_unique<BranchAnalysis>() : nullptr;
-        buildFused(&config, d.get(), i.get(), &branch, b.get());
-
-        if (want_d) {
-            DSideAnalysis *raw = d.get();
-            de.value = std::move(d);
-            de.ready.store(raw, std::memory_order_release);
-        }
-        if (want_i) {
-            ISideAnalysis *raw = i.get();
-            ie.value = std::move(i);
-            ie.ready.store(raw, std::memory_order_release);
-        }
-        if (want_b) {
-            BranchAnalysis *raw = b.get();
-            be.value = std::move(b);
-            be.ready.store(raw, std::memory_order_release);
-        }
-    }
-    if (d_lock.owns_lock())
-        d_lock.unlock();
-    if (i_lock.owns_lock())
-        i_lock.unlock();
-    if (b_lock.owns_lock())
-        b_lock.unlock();
-
-    // Wait for the sides another thread was building (or build one alone
-    // if its try_lock failed spuriously): each getter takes one latch.
-    if (!de.ready.load(std::memory_order_acquire))
-        (void)dside(config);
-    if (!ie.ready.load(std::memory_order_acquire))
-        (void)iside(config);
-    if (!be.ready.load(std::memory_order_acquire))
-        (void)branches(branch);
-}
-
-void
-RegionAnalysis::adoptDside(const MemoryConfig &config, DSideAnalysis analysis)
-{
-    auto &e = st->dsides.entryFor(config.dSideKey());
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    e.value = std::make_unique<DSideAnalysis>(std::move(analysis));
-    e.ready.store(e.value.get(), std::memory_order_release);
-}
-
-void
-RegionAnalysis::adoptIside(const MemoryConfig &config, ISideAnalysis analysis)
-{
-    auto &e = st->isides.entryFor(config.iSideKey());
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    e.value = std::make_unique<ISideAnalysis>(std::move(analysis));
-    e.ready.store(e.value.get(), std::memory_order_release);
-}
-
-void
-RegionAnalysis::adoptBranches(const BranchConfig &config,
-                              BranchAnalysis analysis)
-{
-    auto &e = st->branchAnalyses.entryFor(config.key());
-    std::lock_guard<std::mutex> lock(e.buildMtx);
-    e.value = std::make_unique<BranchAnalysis>(std::move(analysis));
-    e.ready.store(e.value.get(), std::memory_order_release);
-
-    // A cached simulator flags layout for this key is now stale; rewrite
-    // it in place (the vector's identity, and thus any outstanding
-    // reference, is preserved).
-    auto &fe = st->combinedFlagLayouts.entryFor(config.key());
-    std::lock_guard<std::mutex> flock(fe.buildMtx);
-    if (fe.ready.load(std::memory_order_relaxed))
-        rebuildCombinedFlags(*e.value, *fe.value);
+    // Each getter holds only its own side's latch, so no thread blocks
+    // while holding one.
+    (void)dside(config);
+    (void)iside(config);
+    (void)branches(branch);
 }
 
 AnalyzerCarryState::AnalyzerCarryState(const MemoryConfig &mem,
@@ -402,16 +258,18 @@ AnalyzerCarryState::warm(const std::vector<Instruction> &instrs)
 void
 AnalyzerCarryState::warm(const TraceColumns &instrs)
 {
-    fusedSweep(instrs, &dHier, &iHier, lastILine, predictor.get(),
-               nullptr, nullptr, nullptr);
+    sweepDside(instrs, dHier, nullptr);
+    sweepIside(instrs, iHier, lastILine, nullptr);
+    sweepBranches(instrs, *predictor, nullptr);
 }
 
 ShardAnalyses
 AnalyzerCarryState::analyzeShard(const TraceColumns &shard)
 {
     ShardAnalyses out;
-    fusedSweep(shard, &dHier, &iHier, lastILine, predictor.get(),
-               &out.dside, &out.iside, &out.branches);
+    sweepDside(shard, dHier, &out.dside);
+    sweepIside(shard, iHier, lastILine, &out.iside);
+    sweepBranches(shard, *predictor, &out.branches);
     return out;
 }
 

@@ -6,14 +6,13 @@
  * access latencies from an in-order instruction-cache simulation, and
  * branch misprediction flags from branch-predictor simulation.
  *
- * The region is held columnar (TraceColumns, the one trace layout); all
- * analyses run as fused sweeps over the columns, and analyzeAll() fills
- * every still-missing side in ONE pass over warmup + region. The
- * row-based per-side analyses of AnalyzerCarryState are kept only as the
- * bitwise reference oracle for those sweeps. All analyses are memoized per
- * configuration behind per-key once-init latches, so concurrent
- * consumers of *different* configurations on a shared snapshot build in
- * parallel (instances may be shared through the AnalysisStore);
+ * The region is held columnar (TraceColumns, the one trace layout); each
+ * side is built by its own sweep over the columns, warmup then region.
+ * The row-based per-side analyses of AnalyzerCarryState are kept only as
+ * the bitwise reference oracle for those sweeps. All analyses are
+ * memoized per configuration behind per-key once-init latches, so
+ * concurrent consumers of *different* configurations on a shared snapshot
+ * build in parallel (instances may be shared through the AnalysisStore);
  * AnalyzerCarryState is inherently sequential and stays single-threaded.
  */
 
@@ -72,7 +71,10 @@ struct BranchAnalysis
     }
 };
 
-/** All three per-shard analyses, produced by one fused sweep. */
+/**
+ * The three analyses of one shard, as AnalyzerCarryState::analyzeShard
+ * produces them and the seeding RegionAnalysis constructor takes them.
+ */
 struct ShardAnalyses
 {
     DSideAnalysis dside;
@@ -108,8 +110,9 @@ uint64_t branchSeedFor(int program_id, int trace_id, uint64_t start_chunk);
  * threads (the AnalysisStore hands out shared_ptr snapshots), concurrent
  * dside()/iside()/branches()/analyzeAll() calls compute each
  * configuration exactly once, and builds of *different* configurations
- * proceed concurrently. Returned references stay valid for the lifetime
- * of the instance (entries are never removed).
+ * proceed concurrently. Each side has exactly one sweep and one way into
+ * its memo, and a ready entry never changes: returned references stay
+ * valid for the lifetime of the instance.
  */
 class RegionAnalysis
 {
@@ -126,12 +129,14 @@ class RegionAnalysis
                             uint32_t warmup_chunks = kDefaultWarmupChunks);
 
     /**
-     * Wrap a pre-generated region with an empty warmup. Used by the
-     * stitched pipeline, which injects carried-state analyses via
-     * adopt*(); any analysis computed on demand after this constructor
-     * sees no warmup prefix.
+     * Wrap a pre-generated region with an empty warmup, its memos seeded
+     * with `sides` for (mem, branch): the stitched pipeline's
+     * carried-state analyses. Any other configuration is analyzed on
+     * demand and sees no warmup prefix.
      */
-    RegionAnalysis(const RegionSpec &spec, TraceColumns cols);
+    RegionAnalysis(const RegionSpec &spec, TraceColumns cols,
+                   const MemoryConfig &mem, const BranchConfig &branch,
+                   ShardAnalyses sides);
 
     const RegionSpec &spec() const { return regionSpec; }
 
@@ -154,8 +159,7 @@ class RegionAnalysis
     /**
      * Mispredict flags aligned with combinedColumns(): zero across the
      * warmup prefix, branches(config).mispredict across the region.
-     * Memoized per branch configuration; kept in sync when
-     * adoptBranches() replaces the underlying analysis.
+     * Memoized per branch configuration.
      */
     const std::vector<uint8_t> &combinedFlags(const BranchConfig &config);
 
@@ -176,26 +180,14 @@ class RegionAnalysis
     const BranchAnalysis &branches(const BranchConfig &config);
 
     /**
-     * Fused analysis: fill every side of (config, branch) that is not
-     * yet memoized with ONE sweep over warmup + region feeding the data
-     * hierarchy, the instruction hierarchy, and the branch predictor
-     * simultaneously -- bitwise-identical to running the three per-side
-     * loops. Sides already memoized (e.g. a sweep config sharing its
-     * d-side with a previous config) are not re-analyzed, which is what
-     * makes incremental sweep re-analysis cheap. A side another thread
-     * is building is left out of the sweep and waited for after it, so
-     * this thread's own sides never wait behind that thread's sweep.
+     * Every side of (config, branch): dside(config), iside(config),
+     * branches(branch). Sides already memoized (e.g. a sweep config
+     * sharing its d-side with a previous config) are not re-analyzed,
+     * which is what makes incremental sweep re-analysis cheap. Each
+     * getter takes only its own side's latch, so a side another thread
+     * is building is waited for without holding any other.
      */
     void analyzeAll(const MemoryConfig &config, const BranchConfig &branch);
-
-    /**
-     * Inject externally computed analyses (e.g. the pipeline's
-     * carried-state per-shard results), replacing any memoized entry
-     * for the same configuration.
-     */
-    void adoptDside(const MemoryConfig &config, DSideAnalysis analysis);
-    void adoptIside(const MemoryConfig &config, ISideAnalysis analysis);
-    void adoptBranches(const BranchConfig &config, BranchAnalysis analysis);
 
     /** Number of memoized d-side / i-side / branch analyses (for tests). */
     size_t numDsideAnalyses() const { return st->dsides.numReady(); }
@@ -207,26 +199,25 @@ class RegionAnalysis
      * Per-key once-init memo (the AnalysisStore idiom): a brief map lock
      * hands out the per-key entry; the build itself runs under that
      * entry's own latch, so different keys build concurrently and
-     * completed entries are read lock-free.
+     * completed entries are read lock-free. get() is the only way in.
      */
     template <typename T>
     struct SideMemo
     {
-        struct Entry
+        /** The entry for `key`, built by `build()` on first call. */
+        template <typename Build>
+        T &
+        get(uint32_t key, Build &&build)
         {
-            std::mutex buildMtx;
-            std::atomic<T *> ready{nullptr};
-            std::unique_ptr<T> value;   ///< set under buildMtx
-        };
-
-        Entry &
-        entryFor(uint32_t key)
-        {
-            std::lock_guard<std::mutex> lock(mapMtx);
-            auto &slot = entries[key];
-            if (!slot)
-                slot = std::make_unique<Entry>();
-            return *slot;
+            Entry &e = entryFor(key);
+            if (T *p = e.ready.load(std::memory_order_acquire))
+                return *p;
+            std::lock_guard<std::mutex> lock(e.buildMtx);
+            if (T *p = e.ready.load(std::memory_order_relaxed))
+                return *p;
+            e.value = std::make_unique<T>(build());
+            e.ready.store(e.value.get(), std::memory_order_release);
+            return *e.value;
         }
 
         size_t
@@ -241,16 +232,26 @@ class RegionAnalysis
             return n;
         }
 
+      private:
+        struct Entry
+        {
+            std::mutex buildMtx;
+            std::atomic<T *> ready{nullptr};
+            std::unique_ptr<T> value;   ///< set once, under buildMtx
+        };
+
+        Entry &
+        entryFor(uint32_t key)
+        {
+            std::lock_guard<std::mutex> lock(mapMtx);
+            auto &slot = entries[key];
+            if (!slot)
+                slot = std::make_unique<Entry>();
+            return *slot;
+        }
+
         mutable std::mutex mapMtx;
         std::map<uint32_t, std::unique_ptr<Entry>> entries;
-    };
-
-    /** Lazily built combinedColumns() trace. */
-    struct CombinedTrace
-    {
-        std::mutex mtx;
-        std::atomic<bool> ready{false};
-        TraceColumns cols;      ///< set under mtx
     };
 
     /** Non-movable innards, boxed so the class stays movable. */
@@ -261,17 +262,9 @@ class RegionAnalysis
         SideMemo<BranchAnalysis> branchAnalyses;
         /** Simulator flags layout per branch config (combinedFlags). */
         SideMemo<std::vector<uint8_t>> combinedFlagLayouts;
-        CombinedTrace combined;
+        /** combinedColumns(), under the single key 0. */
+        SideMemo<TraceColumns> combined;
     };
-
-    /** One fused sweep building exactly the requested (null = skip) sides. */
-    void buildFused(const MemoryConfig *mem, DSideAnalysis *d,
-                    ISideAnalysis *i, const BranchConfig *br,
-                    BranchAnalysis *b) const;
-
-    /** Fill `flags` with the combinedColumns()-aligned mispredict layout. */
-    void rebuildCombinedFlags(const BranchAnalysis &branch_info,
-                              std::vector<uint8_t> &flags) const;
 
     RegionSpec regionSpec;
     TraceColumns warmup;
@@ -306,9 +299,9 @@ class AnalyzerCarryState
     void warm(const std::vector<Instruction> &instrs);
 
     /**
-     * Analyze the next shard in trace order: one fused sweep producing
-     * all three analyses, bitwise-identical to calling analyzeDside /
-     * analyzeIside / analyzeBranches on the same shard.
+     * Analyze the next shard in trace order: the three columnar per-side
+     * sweeps RegionAnalysis uses, bitwise-identical to calling
+     * analyzeDside / analyzeIside / analyzeBranches on the same shard.
      */
     ShardAnalyses analyzeShard(const TraceColumns &shard);
 

@@ -447,10 +447,9 @@ FeatureProvider::assemble(const UarchParams &params, std::vector<float> &out)
     // whole buffer on every row appended to a caller's matrix, while the
     // appends below grow it geometrically.
 
-    // Fill every still-missing trace analysis of this design point with
-    // one fused warmup+region sweep (a cold assemble previously paid six
-    // separate passes); sides shared with earlier design points are
-    // reused as-is.
+    // Build every still-missing trace analysis of this design point, one
+    // warmup+region sweep per side; sides shared with earlier design
+    // points are reused as-is.
     region->analyzeAll(params.memory, params.branch);
 
     // Run every ROB-model size the blocks below will ask for back to

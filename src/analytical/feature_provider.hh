@@ -124,8 +124,8 @@ class FeatureProvider
                              uint32_t warmup_chunks = kDefaultWarmupChunks);
 
     /**
-     * Wrap a prebuilt RegionAnalysis -- e.g. the stitched pipeline's
-     * per-shard analyses, injected via RegionAnalysis::adopt*().
+     * Wrap a prebuilt RegionAnalysis -- e.g. one the stitched pipeline
+     * seeded with its carried per-shard analyses at construction.
      */
     explicit FeatureProvider(RegionAnalysis analysis,
                              FeatureConfig config = FeatureConfig{});

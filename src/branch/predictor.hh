@@ -78,7 +78,7 @@ std::unique_ptr<BranchPredictor> makePredictor(const BranchConfig &config,
 /**
  * Predict-and-train one branch; @return 1 on mispredict. Direct
  * unconditional branches never mispredict. The single per-branch step
- * shared by runPredictor and the fused analysis sweeps, so every caller
+ * shared by runPredictor and the columnar branch sweep, so every caller
  * trains the predictor in exactly the same way.
  */
 inline uint8_t

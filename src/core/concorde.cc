@@ -31,10 +31,10 @@ namespace
  * hardware), the lead's worker included. The other workers assemble
  * through worker-local providers over the lead's analysis, whose
  * per-side latches make concurrent analyzeAll() calls build each side
- * once without one worker's d-side waiting behind another's sweep, and
- * `lead` absorbs their memos afterwards. Every memoized value is
- * order-independent, so the rows match a per-point assemble bitwise for
- * every `threads`.
+ * once, each by its own sweep, so one worker's d-side never waits
+ * behind another's i-side or branch sweep; `lead` absorbs their memos
+ * afterwards. Every memoized value is order-independent, so the rows
+ * match a per-point assemble bitwise for every `threads`.
  */
 std::vector<float>
 assembleRuns(FeatureProvider &lead, const UarchParams *params, size_t n,

@@ -179,15 +179,11 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         std::unique_ptr<FeatureProvider> provider;
         if (cfg.state == StateMode::Carry) {
             StitchedRegion &shard = stitched[i];
-            RegionAnalysis analysis(res.regions[i], std::move(shard.cols));
-            analysis.adoptDside(params.memory,
-                                std::move(shard.analyses.dside));
-            analysis.adoptIside(params.memory,
-                                std::move(shard.analyses.iside));
-            analysis.adoptBranches(params.branch,
-                                   std::move(shard.analyses.branches));
             provider = std::make_unique<FeatureProvider>(
-                std::move(analysis), pred.featureConfig());
+                RegionAnalysis(res.regions[i], std::move(shard.cols),
+                               params.memory, params.branch,
+                               std::move(shard.analyses)),
+                pred.featureConfig());
         } else if (cfg.analysisStore) {
             // Independent-state analyses are the store's convention;
             // share them when a store is configured.

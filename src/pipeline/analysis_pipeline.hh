@@ -28,13 +28,15 @@
  *                       of once per region plus once per overlapping
  *                       warmup replay. The stitch keeps only the serial
  *                       work -- generate a region's trace, run the
- *                       carried sweep over it -- and hands the trace and
- *                       its analyses on; featurization builds the
- *                       region's RegionAnalysis (its load-line index)
- *                       and provider. Sharded, the pool featurizes
- *                       region i while the caller stitches region i+1,
- *                       and generates the first regions' traces while
- *                       the caller replays the warmup.
+ *                       carried per-side sweeps over it -- and hands
+ *                       the trace and its analyses on; featurization
+ *                       builds the region's RegionAnalysis (its
+ *                       load-line index, its memos seeded with the
+ *                       carried sides at construction) and provider.
+ *                       Sharded, the pool featurizes region i while
+ *                       the caller stitches region i+1, and generates
+ *                       the first regions' traces while the caller
+ *                       replays the warmup.
  *
  * For a fixed StateMode, Scalar and Sharded produce bitwise-identical
  * per-region CPIs (gated by bench_pipeline_e2e and the golden corpus).
@@ -107,7 +109,7 @@ struct PipelineResult
     /**
      * Wall-clock phase times; they never sum past totalSeconds.
      * analyzeSeconds is the Carry stitch pass -- trace generation and
-     * the carried sweep -- and 0 otherwise. featureSeconds is the
+     * the carried sweeps -- and 0 otherwise. featureSeconds is the
      * featurization after the stitch; under Carry it includes building
      * each region's RegionAnalysis and provider. Sharded+Carry overlaps
      * featurization with the stitch, so there featureSeconds is only
@@ -164,7 +166,7 @@ class AnalysisPipeline
 
     /**
      * The Carry stitch pass on the calling thread: generates each
-     * region's trace and runs the carried sweep over it, fills
+     * region's trace and runs the carried sweeps over it, fills
      * stitched[i] in region order, and calls ready(i) (when set) as
      * soon as region i is stitched. Building the region's
      * RegionAnalysis and provider is left to featurization.

@@ -198,12 +198,11 @@ TEST(AnalysisStore, ConcurrentSameKeyHammerAnalyzesOnce)
     EXPECT_EQ(got[0]->numBranchAnalyses(), 1u);
 }
 
-// analyzeAll latches only the sides still missing and no other thread
-// holds, and waits for the rest after its own sweep, so it returns with
-// every side ready: configs that differ in the d-side but share an
-// i-side and branch analysis -- ready beforehand, or missing and raced
-// for -- build every side exactly once, bitwise equal to a fresh
-// per-side build.
+// analyzeAll builds or waits for each side in turn, holding one side's
+// latch at a time, so it returns with every side ready: configs that
+// differ in the d-side but share an i-side and branch analysis -- ready
+// beforehand, or missing and raced for -- build every side exactly once,
+// bitwise equal to a fresh per-side build.
 TEST(AnalysisStore, ConcurrentAnalyzeAllBuildsOnlyMissingSidesOnce)
 {
     const BranchConfig branch = UarchParams::armN1().branch;

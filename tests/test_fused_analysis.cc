@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the fused cold analysis path: the columnar trace layout, the
- * single-sweep d/i/branch analysis (RegionAnalysis::analyzeAll and
- * AnalyzerCarryState::analyzeShard), and FeatureProvider's cold ROB
- * cache fill. Every fused path must be bitwise-identical to its legacy
- * per-side / per-size counterpart.
+ * Tests for the cold analysis path: the columnar trace layout, the
+ * columnar per-side d/i/branch sweeps (RegionAnalysis::analyzeAll and
+ * AnalyzerCarryState::analyzeShard), the RegionAnalysis constructor that
+ * seeds carried sides, and FeatureProvider's cold ROB cache fill. Every
+ * columnar path must be bitwise-identical to its row-oracle / per-size
+ * counterpart.
  */
 
 #include <gtest/gtest.h>
@@ -59,8 +60,8 @@ expectShardEqual(const ShardAnalyses &fused, const DSideAnalysis &d,
 
 } // anonymous namespace
 
-// The fused carried-state sweep must reproduce the three legacy per-side
-// passes shard by shard, across programs, configurations, and carried
+// The columnar carried-state sweeps must reproduce the three row-oracle
+// per-side passes shard by shard, across programs, configurations, and carried
 // hierarchy/predictor state (including the warmup replay).
 TEST(FusedCarryState, AnalyzeShardMatchesPerSidePasses)
 {
@@ -104,8 +105,8 @@ TEST(FusedCarryState, AnalyzeShardMatchesPerSidePasses)
     }
 }
 
-// analyzeAll()'s one-pass fill must memoize exactly what the three lazy
-// per-side getters would have computed.
+// analyzeAll() must memoize exactly what the three lazy per-side getters
+// would have computed, one analysis per side.
 TEST(FusedRegionAnalysis, AnalyzeAllMatchesPerSideAnalyses)
 {
     const RegionSpec spec = testRegion("S7", 16, 2);
@@ -172,6 +173,65 @@ TEST(FusedRegionAnalysis, SweepConfigsShareSides)
     EXPECT_EQ(analysis.numDsideAnalyses(), 2u);
     EXPECT_EQ(analysis.numIsideAnalyses(), 2u);
     EXPECT_EQ(analysis.numBranchAnalyses(), 2u);
+}
+
+// Carried sides enter at construction: the getters return exactly the
+// seeded vectors (values no sweep would produce) without analyzing, and
+// the simulator's flags layout is built from the seeded mispredicts once.
+TEST(FusedRegionAnalysis, SeedingConstructorServesCarriedSides)
+{
+    const RegionSpec spec = testRegion("S7", 16, 1);
+    TraceColumns cols = generateRegion(spec);
+    const size_t n = cols.size();
+    const MemoryConfig mem;
+    const BranchConfig branch;
+
+    ShardAnalyses sides;
+    sides.dside.execLat.resize(n);
+    for (size_t k = 0; k < n; ++k)
+        sides.dside.execLat[k] = 1000 + static_cast<int32_t>(k % 13);
+    sides.dside.loadLevel.assign(n, CacheLevel::L2);
+    sides.dside.stats.l2Hits = 77;
+    sides.iside.newLine.assign(n, 1);
+    sides.iside.lineLat.assign(n, 999);
+    sides.branches.mispredict.assign(n, 0);
+    for (size_t k = 0; k < n; k += 7)
+        sides.branches.mispredict[k] = 1;
+    sides.branches.numBranches = 5;
+    sides.branches.numMispredicts = 3;
+    const ShardAnalyses seeded = sides;
+
+    RegionAnalysis analysis(spec, std::move(cols), mem, branch,
+                            std::move(sides));
+    EXPECT_EQ(analysis.warmupSize(), 0u);
+    EXPECT_EQ(analysis.regionSize(), n);
+    EXPECT_EQ(analysis.numDsideAnalyses(), 1u);
+    EXPECT_EQ(analysis.numIsideAnalyses(), 1u);
+    EXPECT_EQ(analysis.numBranchAnalyses(), 1u);
+
+    analysis.analyzeAll(mem, branch);
+    const DSideAnalysis &d = analysis.dside(mem);
+    const ISideAnalysis &i = analysis.iside(mem);
+    const BranchAnalysis &b = analysis.branches(branch);
+    EXPECT_EQ(analysis.numDsideAnalyses(), 1u);
+    EXPECT_EQ(analysis.numIsideAnalyses(), 1u);
+    EXPECT_EQ(analysis.numBranchAnalyses(), 1u);
+
+    EXPECT_EQ(d.execLat, seeded.dside.execLat);
+    EXPECT_EQ(d.loadLevel, seeded.dside.loadLevel);
+    expectStatsEqual(d.stats, seeded.dside.stats);
+    EXPECT_EQ(i.newLine, seeded.iside.newLine);
+    EXPECT_EQ(i.lineLat, seeded.iside.lineLat);
+    EXPECT_EQ(b.mispredict, seeded.branches.mispredict);
+    EXPECT_EQ(b.numBranches, seeded.branches.numBranches);
+    EXPECT_EQ(b.numMispredicts, seeded.branches.numMispredicts);
+
+    // Empty warmup: the flags layout is the seeded mispredicts, built
+    // once and returned as the same object on every call.
+    const std::vector<uint8_t> &flags = analysis.combinedFlags(branch);
+    EXPECT_EQ(flags, seeded.branches.mispredict);
+    EXPECT_EQ(&analysis.combinedFlags(branch), &flags);
+    EXPECT_EQ(&analysis.branches(branch), &b);
 }
 
 // The row record must round-trip through the columns losslessly: the

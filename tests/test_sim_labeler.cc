@@ -214,29 +214,6 @@ TEST(SimLabeler, CombinedTraceCacheMatchesPerCallRebuild)
     EXPECT_EQ(&analysis.combinedFlags(branch), &flags);
 }
 
-TEST(SimLabeler, AdoptBranchesResyncsCachedFlags)
-{
-    Rng rng(88);
-    RegionAnalysis analysis(sampleRegion(rng, 2), 1);
-    const BranchConfig branch;
-    const auto &flags = analysis.combinedFlags(branch);
-
-    BranchAnalysis replacement;
-    replacement.mispredict.assign(analysis.regionSize(), 0);
-    for (size_t i = 0; i < replacement.mispredict.size(); i += 7)
-        replacement.mispredict[i] = 1;
-    replacement.numBranches = 1;
-    replacement.numMispredicts = 1;
-    analysis.adoptBranches(branch, replacement);
-
-    // Same vector object, rewritten contents.
-    const auto &after = analysis.combinedFlags(branch);
-    EXPECT_EQ(&after, &flags);
-    const size_t warm_count = analysis.warmupSize();
-    for (size_t i = 0; i < replacement.mispredict.size(); ++i)
-        EXPECT_EQ(after[warm_count + i], replacement.mispredict[i]);
-}
-
 TEST(SimLabeler, EstimatedLoadLatencySumMatchesDirectLoop)
 {
     Rng rng(99);

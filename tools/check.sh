@@ -89,9 +89,9 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
     CONCORDE_SMOKE=1 CONCORDE_BENCH_JSON=BENCH_pipeline.json \
         ./build/bench/bench_pipeline_e2e
 
-    # Cold-analysis gate: the fused columnar sweep must match the legacy
-    # per-side row passes bitwise and never lose to them. Also reports
-    # trace generation's rate (gen_minstr_s), timed apart, ungated.
+    # Cold-analysis gate: the columnar per-side sweeps must match the
+    # row oracles bitwise and never lose to them. Also reports trace
+    # generation's rate (gen_minstr_s), timed apart, ungated.
     CONCORDE_BENCH_JSON=BENCH_analysis.json \
         ./build/bench/bench_analysis_cold
 
